@@ -39,9 +39,9 @@ print()
 # CMAC masks the final block with one of two subkeys derived by GF(2^128)
 # doubling of AES(key, 0).
 print("== inside CMAC: subkeys ==")
-subkeys = derive_subkeys(key)
-print("K1  :", subkeys.k1.hex(), "(used when the last block is complete)")
-print("K2  :", subkeys.k2.hex(), "(used when the last block is padded)")
+k1, k2 = derive_subkeys(key)
+print("K1  :", k1.hex(), "(used when the last block is complete)")
+print("K2  :", k2.hex(), "(used when the last block is padded)")
 print()
 
 # KMAC separates applications through a customization string: same inputs,

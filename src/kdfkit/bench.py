@@ -19,10 +19,9 @@ import hashlib
 import io
 import json
 import random
+import statistics
 import time
 from dataclasses import dataclass
-
-import numpy as np
 
 from .cmac import cmac
 from .hmac import hmac
@@ -160,16 +159,17 @@ def summarize(sample_set: TimingSampleSet) -> BenchStats:
     if not sample_set.samples_ns:
         raise ValueError("cannot summarize an empty sample set")
     # sorting first makes every statistic bit-identical under permutation
-    ms = np.sort(np.asarray(sample_set.samples_ns, dtype=float)) / 1e6
-    q1, q3 = np.percentile(ms, [25, 75], method="linear")
+    ms = sorted(ns / 1e6 for ns in sample_set.samples_ns)
+    # quantiles() needs two data points before Python 3.13
+    q1, _, q3 = statistics.quantiles(ms, n=4, method="inclusive") if len(ms) > 1 else ms * 3
     return BenchStats(
-        mean_ms=float(np.mean(ms)),
-        median_ms=float(np.median(ms)),
-        stddev_ms=float(np.std(ms)),  # population stddev, outliers kept
-        q1_ms=float(q1),
-        q3_ms=float(q3),
-        min_ms=float(np.min(ms)),
-        max_ms=float(np.max(ms)),
+        mean_ms=statistics.fmean(ms),
+        median_ms=statistics.median(ms),
+        stddev_ms=statistics.pstdev(ms),  # population stddev, outliers kept
+        q1_ms=q1,
+        q3_ms=q3,
+        min_ms=ms[0],
+        max_ms=ms[-1],
     )
 
 

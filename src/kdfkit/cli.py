@@ -6,7 +6,6 @@ Exit codes are stable for scripting: 0 success, 1 self-test failure,
 """
 
 import argparse
-import os
 import sys
 
 from . import bench as bench_mod
@@ -15,8 +14,6 @@ from .cmac import cmac
 from .hmac import hmac
 from .kdf import counter_kdf, ieee_kdf, kmac_kdf, PrfChoice
 from .kmac import KmacParams, KmacVariant, kmac
-
-ITERATIONS_ENV_VAR = "KDFKIT_BENCH_ITERATIONS"
 
 EXIT_OK = 0
 EXIT_SELFTEST_FAIL = 1
@@ -75,9 +72,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="run the timing comparison")
     bench.add_argument("--targets", choices=["all", "macs", "kdfs"], default="all")
-    bench.add_argument("--iterations", type=int, default=None,
-                       help=f"timed runs per target (default 1000, or "
-                            f"${ITERATIONS_ENV_VAR} when set)")
+    bench.add_argument("--iterations", type=int, default=bench_mod.DEFAULT_ITERATIONS,
+                       help=f"timed runs per target (default {bench_mod.DEFAULT_ITERATIONS})")
     bench.add_argument("--warmup", type=int, default=bench_mod.DEFAULT_WARMUP)
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--out", default=None,
@@ -137,12 +133,6 @@ def _cmd_selftest(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    iterations = args.iterations
-    if iterations is None:
-        iterations = int(os.environ.get(ITERATIONS_ENV_VAR, bench_mod.DEFAULT_ITERATIONS))
-    if iterations < 1:
-        raise ValueError("iterations must be at least 1")
-
     targets = bench_mod.default_targets(seed=args.seed)
     if args.targets == "macs":
         targets = [t for t in targets if t.kind in bench_mod.MAC_KINDS]
@@ -152,7 +142,7 @@ def _cmd_bench(args) -> int:
     results = []
     stats_by_kind = {}
     for target in targets:  # strictly sequential, never interleaved
-        samples = bench_mod.run_bench(target, iterations=iterations,
+        samples = bench_mod.run_bench(target, iterations=args.iterations,
                                       warmup=args.warmup, seed=args.seed)
         stats = bench_mod.summarize(samples)
         results.append((target, stats))
@@ -175,7 +165,7 @@ def _cmd_bench(args) -> int:
         print(f"error: cannot write {out_path}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     print(f"results written to {out_path} "
-          f"(iterations={iterations}, warmup={args.warmup}, seed={args.seed})")
+          f"(iterations={args.iterations}, warmup={args.warmup}, seed={args.seed})")
     return EXIT_OK
 
 

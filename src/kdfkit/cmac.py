@@ -6,8 +6,6 @@ is cut into 16-byte blocks with 10* padding on a short final block, and the
 blocks are folded through a CBC-style chain whose last ciphertext is the tag.
 """
 
-from dataclasses import dataclass
-
 from .primitives import AES_BLOCK_LEN, AesBlockCipher
 
 _MSB = 0x80
@@ -24,31 +22,22 @@ def dbl(block: bytes) -> bytes:
     return shifted.to_bytes(16, "big")
 
 
-@dataclass(frozen=True)
-class SubkeyPair:
-    k1: bytes
-    k2: bytes
+def _subkeys(cipher: AesBlockCipher) -> tuple:
+    """(K1, K2) for the key ``cipher`` was set up with."""
+    k1 = dbl(cipher.encrypt_block(bytes(AES_BLOCK_LEN)))
+    return k1, dbl(k1)
 
 
-@dataclass(frozen=True)
-class MessageBlocks:
-    """Message split into 16-byte blocks, final block already masked."""
-
-    blocks: tuple
-    last_was_complete: bool
-
-
-def derive_subkeys(key: bytes) -> SubkeyPair:
-    """K1 = dbl(AES(key, 0^128)), K2 = dbl(K1)."""
-    k1 = dbl(AesBlockCipher(key).encrypt_block(bytes(AES_BLOCK_LEN)))
-    return SubkeyPair(k1=k1, k2=dbl(k1))
+def derive_subkeys(key: bytes) -> tuple:
+    """K1 = dbl(AES(key, 0^128)), K2 = dbl(K1), as the pair (K1, K2)."""
+    return _subkeys(AesBlockCipher(key))
 
 
 def _xor(a: bytes, b: bytes) -> bytes:
     return bytes(x ^ y for x, y in zip(a, b))
 
 
-def split_and_pad(msg: bytes, subkeys: SubkeyPair) -> MessageBlocks:
+def split_and_pad(msg: bytes, k1: bytes, k2: bytes) -> list:
     """Cut ``msg`` into blocks and mask the final one.
 
     A complete final block is XORed with K1; a short (or empty) final block
@@ -60,19 +49,17 @@ def split_and_pad(msg: bytes, subkeys: SubkeyPair) -> MessageBlocks:
     blocks = [msg[i * AES_BLOCK_LEN:(i + 1) * AES_BLOCK_LEN] for i in range(n_full - 1)]
     last = msg[(n_full - 1) * AES_BLOCK_LEN:]
     if complete:
-        blocks.append(_xor(last, subkeys.k1))
+        blocks.append(_xor(last, k1))
     else:
         padded = last + b"\x80" + bytes(AES_BLOCK_LEN - len(last) - 1)
-        blocks.append(_xor(padded, subkeys.k2))
-    return MessageBlocks(blocks=tuple(blocks), last_was_complete=complete)
+        blocks.append(_xor(padded, k2))
+    return blocks
 
 
 def cmac(key: bytes, msg: bytes) -> bytes:
     """AES-CMAC tag of ``msg`` under a 16-byte ``key``; always 16 bytes."""
     cipher = AesBlockCipher(key)
-    k1 = dbl(cipher.encrypt_block(bytes(AES_BLOCK_LEN)))
-    split = split_and_pad(msg, SubkeyPair(k1=k1, k2=dbl(k1)))
     chain = bytes(AES_BLOCK_LEN)
-    for block in split.blocks:
+    for block in split_and_pad(msg, *_subkeys(cipher)):
         chain = cipher.encrypt_block(_xor(chain, block))
     return chain

@@ -23,12 +23,16 @@ def derive_k0(key: bytes, spec: HashSpec = SHA256) -> bytes:
     return key.ljust(spec.block_len, b"\x00")
 
 
+def _padded_keys(key: bytes, spec: HashSpec) -> tuple:
+    """(K0 ^ ipad, K0 ^ opad), the prefixes of the inner and outer hash inputs."""
+    k0 = derive_k0(key, spec)
+    return bytes(b ^ IPAD for b in k0), bytes(b ^ OPAD for b in k0)
+
+
 def hmac(key: bytes, msg: bytes, spec: HashSpec = SHA256) -> bytes:
     """One-shot HMAC tag of ``msg`` under ``key``; ``spec.digest_len`` bytes."""
-    k0 = derive_k0(key, spec)
-    inner = spec.digest(bytes(b ^ IPAD for b in k0) + msg)
-    outer = bytes(b ^ OPAD for b in k0)
-    return spec.digest(outer + inner)
+    inner_key, outer_key = _padded_keys(key, spec)
+    return spec.digest(outer_key + spec.digest(inner_key + msg))
 
 
 class HmacStream:
@@ -40,10 +44,9 @@ class HmacStream:
 
     def __init__(self, key: bytes, spec: HashSpec = SHA256):
         self._spec = spec
-        k0 = derive_k0(key, spec)
+        inner_key, self._outer = _padded_keys(key, spec)
         self._inner = spec.new()
-        self._inner.update(bytes(b ^ IPAD for b in k0))
-        self._outer = bytes(b ^ OPAD for b in k0)
+        self._inner.update(inner_key)
         self._done = False
 
     def update(self, chunk: bytes) -> None:

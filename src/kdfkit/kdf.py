@@ -20,10 +20,8 @@ from .primitives import AesBlockCipher
 
 KDF_LABEL = b"KDF"
 
-# Binary widths of the counter and length fields inside each PRF input.
-# Both are big-endian; other profiles can pass different widths.
-COUNTER_WIDTH = 4
-LENGTH_WIDTH = 4
+# Byte width of the big-endian counter and length fields in each PRF input.
+FIELD_WIDTH = 4
 
 PURPOSE_SIGNING = 1
 PURPOSE_ENCRYPTION = 2
@@ -53,29 +51,22 @@ class PrfChoice(enum.Enum):
         return cmac_mod.cmac(key, msg)
 
 
-def counter_kdf(
-    prf: PrfChoice,
-    key: bytes,
-    msg: bytes,
-    out_len: int,
-    counter_width: int = COUNTER_WIDTH,
-    length_width: int = LENGTH_WIDTH,
-) -> bytes:
+def counter_kdf(prf: PrfChoice, key: bytes, msg: bytes, out_len: int) -> bytes:
     """Counter-mode KDF: concatenated PRF outputs, truncated to ``out_len`` bytes.
 
     Block i (1-based) is PRF(key, counter(i) || "KDF" || 0x00 || msg || enc(out_len))
-    with counter and length as big-endian fields of the given widths.
+    with counter and length as 4-byte big-endian fields.
     """
     if out_len < 1:
         raise ValueError("requested output length must be at least 1 byte")
     try:
-        length_field = out_len.to_bytes(length_width, "big")
+        length_field = out_len.to_bytes(FIELD_WIDTH, "big")
     except OverflowError:
-        raise ValueError(f"output length {out_len} does not fit in {length_width} bytes") from None
+        raise ValueError(f"output length {out_len} does not fit in {FIELD_WIDTH} bytes") from None
     n_blocks = -(-out_len // prf.block_len)
     out = bytearray()
     for i in range(1, n_blocks + 1):
-        block_input = i.to_bytes(counter_width, "big") + KDF_LABEL + b"\x00" + msg + length_field
+        block_input = i.to_bytes(FIELD_WIDTH, "big") + KDF_LABEL + b"\x00" + msg + length_field
         out += prf(key, block_input)
     return bytes(out[:out_len])
 

@@ -72,13 +72,16 @@ def parse_cases(raw) -> list:
             expect = entry["expect"]
         except KeyError as missing:
             raise ValueError(f"case {idx} lacks required field {missing}") from None
+        params = entry.get("params", {})
+        if not isinstance(params, dict):
+            raise ValueError(f"case {idx} params must be a JSON object")
         cases.append(VectorCase(
             id=entry.get("id", f"case-{idx}"),
             construction=construction,
             key=_hex_bytes(entry.get("key", ""), f"case {idx} key"),
             msg=_hex_bytes(entry.get("msg", ""), f"case {idx} msg"),
             expect=_hex_bytes(expect, f"case {idx} expect"),
-            params=entry.get("params", {}),
+            params=params,
         ))
     return cases
 
@@ -89,35 +92,46 @@ def load_vector_file(path) -> list:
 
 
 def compute_case(case: VectorCase) -> bytes:
-    """Run the construction a case names and return the produced bytes."""
-    p = case.params
+    """Run the construction a case names and return the produced bytes.
+
+    A missing or mistyped param raises ``ValueError`` naming the case and param.
+    """
+
+    def number(name):
+        value = case.params.get(name)
+        if type(value) is not int:
+            raise ValueError(f"case {case.id} param {name} must be an integer, got {value!r}")
+        return value
+
+    def hex_param(name, default=None):
+        return _hex_bytes(case.params.get(name, default), f"case {case.id} param {name}")
+
     kind = case.construction
     if kind == "aes128":
         return aes_encrypt_block(case.key, case.msg)
     if kind == "sha256":
         return sha256(case.msg)
     if kind == "shake128":
-        return sponge_absorb_squeeze(case.msg, 168, SHAKE_PAD, p["L"] // 8)
+        return sponge_absorb_squeeze(case.msg, 168, SHAKE_PAD, number("L") // 8)
     if kind == "hmac_sha256":
         return hmac_mod.hmac(case.key, case.msg)
     if kind == "cmac_aes128":
         return cmac_mod.cmac(case.key, case.msg)
     if kind == "cshake128":
-        return kmac_mod.cshake(case.msg, p["L"], _hex_bytes(p.get("N", ""), "N"),
-                               _hex_bytes(p.get("S", ""), "S"), rate=168)
+        return kmac_mod.cshake(case.msg, number("L"), hex_param("N", ""), hex_param("S", ""),
+                               rate=168)
     if kind in ("kmac128", "kmac256"):
         variant = kmac_mod.KmacVariant.KMAC128 if kind == "kmac128" else kmac_mod.KmacVariant.KMAC256
-        params = kmac_mod.KmacParams(variant, p["L"], _hex_bytes(p.get("S", ""), "S"))
+        params = kmac_mod.KmacParams(variant, number("L"), hex_param("S", ""))
         return kmac_mod.kmac(case.key, case.msg, params)
     if kind == "ctr_kdf_hmac":
-        return kdf_mod.counter_kdf(kdf_mod.PrfChoice.HMAC_SHA256, case.key, case.msg, p["L"])
+        return kdf_mod.counter_kdf(kdf_mod.PrfChoice.HMAC_SHA256, case.key, case.msg, number("L"))
     if kind == "ctr_kdf_cmac":
-        return kdf_mod.counter_kdf(kdf_mod.PrfChoice.CMAC_AES128, case.key, case.msg, p["L"])
+        return kdf_mod.counter_kdf(kdf_mod.PrfChoice.CMAC_AES128, case.key, case.msg, number("L"))
     if kind == "kmac_kdf":
-        return kdf_mod.kmac_kdf(case.key, case.msg, p["L"])
+        return kdf_mod.kmac_kdf(case.key, case.msg, number("L"))
     if kind == "ieee_kdf":
-        return kdf_mod.ieee_kdf(case.key, _hex_bytes(p["i"], "i"),
-                                _hex_bytes(p["j"], "j"), p["U"])
+        return kdf_mod.ieee_kdf(case.key, hex_param("i"), hex_param("j"), number("U"))
     raise ValueError(f"unknown construction: {kind}")
 
 

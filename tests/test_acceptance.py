@@ -100,8 +100,8 @@ def test_criterion_3_invariant_suites():
 
     # dbl fixed point and subkey chain
     assert dbl(dbl(bytes(16))) == bytes(16)
-    subkeys = derive_subkeys(bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c"))
-    assert subkeys.k1.hex() == "fbeed618357133667c85e08f7236a8de"
+    k1, _ = derive_subkeys(bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c"))
+    assert k1.hex() == "fbeed618357133667c85e08f7236a8de"
 
     # sponge prefix stability
     long_out = sponge_absorb_squeeze(b"stability", 168, 0x1F, 400)

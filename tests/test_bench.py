@@ -82,6 +82,12 @@ class TestSummarize:
         assert stats.median_ms == pytest.approx(2.0)
         assert stats.stddev_ms == pytest.approx(0.0)
 
+    def test_single_sample(self):
+        stats = summarize(sample_set([1.5]))
+        assert stats.mean_ms == stats.median_ms == stats.q1_ms == stats.q3_ms == 1.5
+        assert stats.min_ms == stats.max_ms == 1.5
+        assert stats.stddev_ms == 0.0
+
     def test_even_count_median_midpoint(self):
         stats = summarize(sample_set([1, 3]))
         assert stats.median_ms == pytest.approx(2.0)

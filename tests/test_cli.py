@@ -129,6 +129,21 @@ class TestSelftest:
         code, _, _ = run_cli(capsys, "selftest", "--vectors", str(bad))
         assert code == 2
 
+    @pytest.mark.parametrize("params, reason", [
+        ({}, "case bad-params param L"),
+        ({"L": "256"}, "case bad-params param L"),
+        (["L", 256], "params must be a JSON object"),
+    ], ids=["missing-L", "string-L", "params-not-object"])
+    def test_malformed_params_exit_2(self, capsys, tmp_path, params, reason):
+        case = {"id": "bad-params", "construction": "kmac128", "key": "00" * 32,
+                "msg": "", "params": params, "expect": "00" * 32}
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps([case]))
+        code, _, err = run_cli(capsys, "selftest", "--vectors", str(path))
+        assert code == 2
+        assert err.startswith("error:")
+        assert reason in err
+
 
 class TestBench:
     def test_default_run_seven_rows(self, capsys, tmp_path):
@@ -156,12 +171,17 @@ class TestBench:
         assert code == 0
         assert "seed=42" in out
 
-    def test_env_var_overrides_default_iterations(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv(cli.ITERATIONS_ENV_VAR, "2")
-        code, out, _ = run_cli(capsys, "bench", "--targets", "macs",
-                               "--warmup", "0", "--out", str(tmp_path / "e.csv"))
+    def test_single_iteration(self, capsys, tmp_path):
+        code, out, _ = run_cli(capsys, "bench", "--targets", "macs", "--iterations", "1",
+                               "--warmup", "0", "--out", str(tmp_path / "one.csv"))
         assert code == 0
-        assert "iterations=2" in out
+        assert "iterations=1" in out
+
+    def test_zero_iterations_exits_2(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "bench", "--targets", "macs", "--iterations", "0",
+                               "--out", str(tmp_path / "zero.csv"))
+        assert code == 2
+        assert "error:" in err
 
     def test_unwritable_output_exits_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "bench", "--targets", "macs", "--iterations", "2",

@@ -6,7 +6,7 @@ import pytest
 from cryptography.hazmat.primitives.ciphers.algorithms import AES
 from cryptography.hazmat.primitives.cmac import CMAC as LibCmac
 
-from kdfkit.cmac import MessageBlocks, SubkeyPair, cmac, dbl, derive_subkeys, split_and_pad
+from kdfkit.cmac import cmac, dbl, derive_subkeys, split_and_pad
 from reference import cmac_reference
 
 RFC4493_KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
@@ -27,9 +27,9 @@ def _xor(a, b):
 
 class TestDbl:
     def test_rfc4493_subkey_chain(self):
-        subkeys = derive_subkeys(RFC4493_KEY)
-        assert subkeys.k1.hex() == "fbeed618357133667c85e08f7236a8de"
-        assert subkeys.k2.hex() == "f7ddac306ae266ccf90bc11ee46d513b"
+        k1, k2 = derive_subkeys(RFC4493_KEY)
+        assert k1.hex() == "fbeed618357133667c85e08f7236a8de"
+        assert k2.hex() == "f7ddac306ae266ccf90bc11ee46d513b"
 
     def test_msb_clear_is_plain_shift(self):
         block = bytes([0x40]) + bytes(15)
@@ -48,36 +48,38 @@ class TestDbl:
 
 
 class TestSplitAndPad:
+    # The subkey that masks the final block shows whether it was complete:
+    # K1 for a complete block, K2 for a padded one.
     @pytest.fixture
     def subkeys(self):
         return derive_subkeys(RFC4493_KEY)
 
     def test_complete_single_block(self, subkeys):
+        k1, k2 = subkeys
         msg = RFC4493_MSG[:16]
-        split = split_and_pad(msg, subkeys)
-        assert split.last_was_complete
-        assert split.blocks == (_xor(msg, subkeys.k1),)
+        blocks = split_and_pad(msg, k1, k2)
+        assert blocks == [_xor(msg, k1)]
 
     def test_empty_message(self, subkeys):
-        split = split_and_pad(b"", subkeys)
-        assert not split.last_was_complete
-        assert split.blocks == (_xor(b"\x80" + bytes(15), subkeys.k2),)
+        k1, k2 = subkeys
+        blocks = split_and_pad(b"", k1, k2)
+        assert blocks == [_xor(b"\x80" + bytes(15), k2)]
 
     def test_40_byte_message(self, subkeys):
+        k1, k2 = subkeys
         msg = RFC4493_MSG[:40]
-        split = split_and_pad(msg, subkeys)
-        assert len(split.blocks) == 3
-        assert not split.last_was_complete
-        assert split.blocks[0] == msg[:16]
-        assert split.blocks[1] == msg[16:32]
+        blocks = split_and_pad(msg, k1, k2)
+        assert len(blocks) == 3
+        assert blocks[0] == msg[:16]
+        assert blocks[1] == msg[16:32]
         padded_tail = msg[32:] + b"\x80" + bytes(7)
-        assert split.blocks[2] == _xor(padded_tail, subkeys.k2)
+        assert blocks[2] == _xor(padded_tail, k2)
 
     def test_block_sizes(self, subkeys):
         for length in range(0, 70):
-            split = split_and_pad(bytes(length), subkeys)
-            assert all(len(block) == 16 for block in split.blocks)
-            assert len(split.blocks) == max(1, -(-length // 16))
+            blocks = split_and_pad(bytes(length), *subkeys)
+            assert all(len(block) == 16 for block in blocks)
+            assert len(blocks) == max(1, -(-length // 16))
 
 
 class TestCmac:
@@ -123,11 +125,3 @@ class TestCmac:
     def test_invalid_key_length(self, key_len):
         with pytest.raises(ValueError):
             cmac(bytes(key_len), b"")
-
-    def test_subkeys_shareable(self):
-        # precomputed pair gives the same split as a fresh derivation
-        first = derive_subkeys(RFC4493_KEY)
-        second = SubkeyPair(k1=first.k1, k2=first.k2)
-        msg = b"shared-subkey-message"
-        assert split_and_pad(msg, first) == split_and_pad(msg, second)
-        assert isinstance(split_and_pad(msg, first), MessageBlocks)
