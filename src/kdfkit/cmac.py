@@ -34,7 +34,7 @@ def derive_subkeys(key: bytes) -> tuple:
 
 
 def _xor(a: bytes, b: bytes) -> bytes:
-    return bytes(x ^ y for x, y in zip(a, b))
+    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(AES_BLOCK_LEN, "big")
 
 
 def split_and_pad(msg: bytes, k1: bytes, k2: bytes) -> list:

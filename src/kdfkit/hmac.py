@@ -11,6 +11,10 @@ from .primitives import SHA256, HashSpec
 IPAD = 0x36
 OPAD = 0x5C
 
+# bytes.translate tables that XOR every byte with the pad constant.
+_IPAD_TABLE = bytes(b ^ IPAD for b in range(256))
+_OPAD_TABLE = bytes(b ^ OPAD for b in range(256))
+
 
 def derive_k0(key: bytes, spec: HashSpec = SHA256) -> bytes:
     """Normalize ``key`` to exactly ``spec.block_len`` bytes.
@@ -26,7 +30,7 @@ def derive_k0(key: bytes, spec: HashSpec = SHA256) -> bytes:
 def _padded_keys(key: bytes, spec: HashSpec) -> tuple:
     """(K0 ^ ipad, K0 ^ opad), the prefixes of the inner and outer hash inputs."""
     k0 = derive_k0(key, spec)
-    return bytes(b ^ IPAD for b in k0), bytes(b ^ OPAD for b in k0)
+    return k0.translate(_IPAD_TABLE), k0.translate(_OPAD_TABLE)
 
 
 def hmac(key: bytes, msg: bytes, spec: HashSpec = SHA256) -> bytes:

@@ -98,7 +98,7 @@ def ieee_kdf(key: bytes, i_value: bytes, j_value: bytes, purpose: int) -> bytes:
     base = int.from_bytes(pad + i_value + j_value + bytes(4), "big")
     out = bytearray()
     for i in (1, 2, 3):
-        block = ((base + i) % (1 << 128)).to_bytes(16, "big")
-        encrypted = cipher.encrypt_block(block)
-        out += bytes(a ^ b for a, b in zip(encrypted, block))
+        counter = (base + i) % (1 << 128)
+        encrypted = cipher.encrypt_block(counter.to_bytes(16, "big"))
+        out += (int.from_bytes(encrypted, "big") ^ counter).to_bytes(16, "big")
     return bytes(out)

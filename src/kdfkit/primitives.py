@@ -110,48 +110,35 @@ _ROTATIONS = (
 )
 
 
-def _rotl64(v, n):
-    return ((v << n) | (v >> (64 - n))) & _MASK64 if n else v
+# Pi: lane x + 5*y moves to y + 5*((2x + 3y) % 5).
+_PI_DEST = tuple(y + 5 * ((2 * x + 3 * y) % 5) for y in range(5) for x in range(5))
+
+# Chi: lane x + 5*y combines with lanes (x+1, y) and (x+2, y).
+_CHI_NEIGHBOURS = tuple(((x + 1) % 5 + 5 * y, (x + 2) % 5 + 5 * y)
+                        for y in range(5) for x in range(5))
 
 
 def keccak_f1600(lanes: list) -> list:
     """One Keccak-f[1600] permutation over 25 64-bit lanes (new list returned)."""
-    a = list(lanes)
+    a = lanes
+    b = [0] * 25
     for rc in _ROUND_CONSTANTS:
-        # theta
+        # theta: c[x - 1] and c[x - 4] are the columns left and right of x.
         c = [a[x] ^ a[x + 5] ^ a[x + 10] ^ a[x + 15] ^ a[x + 20] for x in range(5)]
-        d = [c[(x - 1) % 5] ^ _rotl64(c[(x + 1) % 5], 1) for x in range(5)]
-        for x in range(5):
-            dx = d[x]
-            for y in range(0, 25, 5):
-                a[x + y] ^= dx
-        # rho + pi
-        b = [0] * 25
-        for x in range(5):
-            for y in range(5):
-                i = x + 5 * y
-                b[y + 5 * ((2 * x + 3 * y) % 5)] = _rotl64(a[i], _ROTATIONS[i])
-        # chi
-        for y in range(0, 25, 5):
-            row = b[y:y + 5]
-            for x in range(5):
-                a[x + y] = row[x] ^ ((row[(x + 1) % 5] ^ _MASK64) & row[(x + 2) % 5])
+        d = [c[x - 1] ^ (((c[x - 4] << 1) | (c[x - 4] >> 63)) & _MASK64) for x in range(5)]
+        # theta applied per lane, then rho + pi
+        for v, dx, dest, r in zip(a, d * 5, _PI_DEST, _ROTATIONS):
+            v ^= dx
+            b[dest] = ((v << r) | (v >> (64 - r))) & _MASK64
+        # chi (into a fresh list, so the caller's lanes are never written)
+        a = [bi ^ (~b[j] & b[k]) for bi, (j, k) in zip(b, _CHI_NEIGHBOURS)]
         # iota
         a[0] ^= rc
     return a
 
 
-def _permute_bytes(state: bytearray) -> bytearray:
-    lanes = [int.from_bytes(state[8 * i:8 * i + 8], "little") for i in range(25)]
-    lanes = keccak_f1600(lanes)
-    out = bytearray(200)
-    for i, lane in enumerate(lanes):
-        out[8 * i:8 * i + 8] = lane.to_bytes(8, "little")
-    return out
-
-
 class KeccakSponge:
-    """Incremental Keccak sponge over a 200-byte state.
+    """Incremental Keccak sponge over 25 64-bit lanes.
 
     Single-owner: absorb in any number of calls, finalize once with a domain
     byte, then squeeze any number of output bytes. Not thread-safe.
@@ -161,46 +148,50 @@ class KeccakSponge:
         if rate not in VALID_RATES:
             raise ValueError(f"sponge rate must be one of {VALID_RATES}, got {rate}")
         self.rate = rate
-        self._state = bytearray(200)
-        self._offset = 0  # absorb/squeeze position within the current rate block
-        self._finalized = False
+        self._lanes = [0] * 25
+        self._pending = b""  # absorbed bytes short of a full rate block
+        self._squeezed = None  # unread output of the current block; set by finalize
+
+    def _absorb_block(self, block: bytes) -> None:
+        lanes = self._lanes
+        for i in range(self.rate // 8):
+            lanes[i] ^= int.from_bytes(block[8 * i:8 * i + 8], "little")
+        self._lanes = keccak_f1600(lanes)
+
+    def _output_block(self) -> bytes:
+        return b"".join(lane.to_bytes(8, "little") for lane in self._lanes[:self.rate // 8])
 
     def absorb(self, data: bytes) -> None:
-        if self._finalized:
+        if self._squeezed is not None:
             raise ValueError("cannot absorb after finalize")
-        state, rate = self._state, self.rate
-        off = self._offset
-        for byte in data:
-            state[off] ^= byte
-            off += 1
-            if off == rate:
-                self._state = state = _permute_bytes(state)
-                off = 0
-        self._offset = off
+        data = self._pending + data
+        rate = self.rate
+        end = len(data) - len(data) % rate
+        for start in range(0, end, rate):
+            self._absorb_block(data[start:start + rate])
+        self._pending = data[end:]
 
     def finalize(self, domain_pad: int) -> None:
         """Apply pad10*1 with the given domain byte and close absorption."""
-        if self._finalized:
+        if self._squeezed is not None:
             raise ValueError("sponge already finalized")
-        state = self._state
-        state[self._offset] ^= domain_pad
-        state[self.rate - 1] ^= 0x80
-        self._state = _permute_bytes(state)
-        self._offset = 0
-        self._finalized = True
+        # The domain byte follows the pending input; 0x80 lands in the block's last byte.
+        padded = int.from_bytes(self._pending + bytes([domain_pad]), "little")
+        padded ^= 0x80 << 8 * (self.rate - 1)
+        self._absorb_block(padded.to_bytes(self.rate, "little"))
+        self._squeezed = self._output_block()
 
     def squeeze(self, out_len: int) -> bytes:
-        if not self._finalized:
+        if self._squeezed is None:
             raise ValueError("finalize before squeezing")
-        out = bytearray()
+        if out_len < 0:
+            raise ValueError("output length must not be negative")
+        out = self._squeezed
         while len(out) < out_len:
-            take = min(self.rate - self._offset, out_len - len(out))
-            out += self._state[self._offset:self._offset + take]
-            self._offset += take
-            if self._offset == self.rate:
-                self._state = _permute_bytes(self._state)
-                self._offset = 0
-        return bytes(out)
+            self._lanes = keccak_f1600(self._lanes)
+            out += self._output_block()
+        self._squeezed = out[out_len:]
+        return out[:out_len]
 
 
 def sponge_absorb_squeeze(data: bytes, rate: int, domain_pad: int, out_len: int) -> bytes:

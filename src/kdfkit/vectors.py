@@ -25,7 +25,7 @@ from . import cmac as cmac_mod
 from . import hmac as hmac_mod
 from . import kdf as kdf_mod
 from . import kmac as kmac_mod
-from .primitives import SHAKE_PAD, aes_encrypt_block, sha256, sponge_absorb_squeeze
+from .primitives import aes_encrypt_block, sha256
 
 BUNDLED_VECTOR_FILE = "standard_vectors.json"
 
@@ -72,6 +72,8 @@ def parse_cases(raw) -> list:
             expect = entry["expect"]
         except KeyError as missing:
             raise ValueError(f"case {idx} lacks required field {missing}") from None
+        if not isinstance(construction, str):
+            raise ValueError(f"case {idx} construction must be a string")
         params = entry.get("params", {})
         if not isinstance(params, dict):
             raise ValueError(f"case {idx} params must be a JSON object")
@@ -112,7 +114,7 @@ def compute_case(case: VectorCase) -> bytes:
     if kind == "sha256":
         return sha256(case.msg)
     if kind == "shake128":
-        return sponge_absorb_squeeze(case.msg, 168, SHAKE_PAD, number("L") // 8)
+        return kmac_mod.cshake(case.msg, number("L"), b"", b"", rate=168)
     if kind == "hmac_sha256":
         return hmac_mod.hmac(case.key, case.msg)
     if kind == "cmac_aes128":

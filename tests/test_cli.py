@@ -129,17 +129,21 @@ class TestSelftest:
         code, _, _ = run_cli(capsys, "selftest", "--vectors", str(bad))
         assert code == 2
 
-    @pytest.mark.parametrize("params, reason", [
-        ({}, "case bad-params param L"),
-        ({"L": "256"}, "case bad-params param L"),
-        (["L", 256], "params must be a JSON object"),
-    ], ids=["missing-L", "string-L", "params-not-object"])
-    def test_malformed_params_exit_2(self, capsys, tmp_path, params, reason):
+    @pytest.mark.parametrize("fields, reason", [
+        ({"params": {}}, "case bad-params param L"),
+        ({"params": {"L": "256"}}, "case bad-params param L"),
+        ({"params": ["L", 256]}, "params must be a JSON object"),
+        ({"construction": 5}, "case 0 construction must be a string"),
+        ({"construction": "shake128", "params": {"L": 12}}, "whole number of bytes"),
+    ], ids=["missing-L", "string-L", "params-not-object", "int-construction",
+            "shake-partial-byte-L"])
+    def test_malformed_params_exit_2(self, capsys, tmp_path, fields, reason):
         case = {"id": "bad-params", "construction": "kmac128", "key": "00" * 32,
-                "msg": "", "params": params, "expect": "00" * 32}
+                "msg": "", "params": {"L": 256}, "expect": "00" * 32, **fields}
         path = tmp_path / "params.json"
         path.write_text(json.dumps([case]))
-        code, _, err = run_cli(capsys, "selftest", "--vectors", str(path))
+        # The prefix filter is applied to every case's construction.
+        code, _, err = run_cli(capsys, "selftest", "--vectors", str(path), "--filter", "")
         assert code == 2
         assert err.startswith("error:")
         assert reason in err

@@ -10,6 +10,7 @@ from kdfkit.primitives import (
     HashSpec,
     KeccakSponge,
     aes_encrypt_block,
+    keccak_f1600,
     sha256,
     sponge_absorb_squeeze,
 )
@@ -101,10 +102,19 @@ class TestSponge:
         (136, hashlib.shake_256),
     ])
     def test_matches_hashlib_shake(self, rate, oracle):
+        # Every input length up to three blocks and one byte, so each padding
+        # position and absorb boundary is hit; output lengths straddle the
+        # squeeze block boundaries.
         rng = random.Random(rate)
-        for length in [0, 1, rate - 1, rate, rate + 1, 3 * rate, 500]:
+        out_lens = (64, rate - 1, rate, rate + 1, 2 * rate)
+        for length in range(3 * rate + 2):
             data = rng.randbytes(length)
-            assert sponge_absorb_squeeze(data, rate, 0x1F, 64) == oracle(data).digest(64)
+            long_out = sponge_absorb_squeeze(data, rate, 0x1F, 2 * rate)
+            assert long_out == oracle(data).digest(2 * rate)
+            if length % rate in (0, 1, rate - 1):
+                for out_len in out_lens:
+                    assert sponge_absorb_squeeze(data, rate, 0x1F, out_len) == \
+                        long_out[:out_len]
 
     def test_squeeze_prefix_stability(self):
         data = b"prefix stability"
@@ -131,14 +141,28 @@ class TestSponge:
     def test_invalid_out_len(self):
         with pytest.raises(ValueError):
             sponge_absorb_squeeze(b"", 168, 0x1F, 0)
+        sponge = KeccakSponge(168)
+        sponge.finalize(0x1F)
+        with pytest.raises(ValueError):
+            sponge.squeeze(-1)
 
     def test_incremental_absorb_matches_one_shot(self):
         data = random.Random(9).randbytes(1000)
-        sponge = KeccakSponge(168)
-        for start in range(0, 1000, 97):
-            sponge.absorb(data[start:start + 97])
-        sponge.finalize(0x1F)
-        assert sponge.squeeze(64) == sponge_absorb_squeeze(data, 168, 0x1F, 64)
+        expected = hashlib.shake_128(data).digest(340)
+        for chunk in (1, 7, 97, 168, 169):
+            sponge = KeccakSponge(168)
+            for start in range(0, 1000, chunk):
+                sponge.absorb(data[start:start + chunk])
+            sponge.finalize(0x1F)
+            # Squeezes continue one stream, across the block boundaries at 168 and 336.
+            parts = [sponge.squeeze(n) for n in (64, 104, 0, 1, 168, 3)]
+            assert b"".join(parts) == expected, chunk
+
+    def test_permutation_leaves_input_unchanged(self):
+        lanes = list(range(25))
+        out = keccak_f1600(lanes)
+        assert lanes == list(range(25))
+        assert out is not lanes and out != lanes
 
     def test_single_owner_lifecycle(self):
         sponge = KeccakSponge(168)
