@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .cmac import cmac
 from .hmac import hmac
-from .kdf import PURPOSE_SIGNING, PrfChoice, counter_kdf, ieee_kdf, kmac_kdf
+from .kdf import IEEE_OUTPUT_LEN, PURPOSE_SIGNING, PrfChoice, counter_kdf, ieee_kdf, kmac_kdf
 from .kmac import kmac128
 
 DEFAULT_ITERATIONS = 1000
@@ -64,7 +64,7 @@ class BenchTarget:
     kind: TargetKind
     key: bytes
     msg_len: int = DEFAULT_MSG_LEN
-    out_len: int | None = None  # KDF kinds only; MAC kinds ignore it
+    out_len: int | None = None  # KDF kinds only (IEEE_KDF: always 48); MAC kinds ignore it
 
 
 @dataclass(frozen=True)
@@ -108,15 +108,19 @@ def _make_op(target: BenchTarget):
         return lambda msg: cmac(key, msg)
     if kind is TargetKind.KMAC:
         return lambda msg: kmac128(key, msg)
-    out_len = target.out_len if target.out_len is not None else DEFAULT_KDF_OUT_LEN
+    out_len = target.out_len
+    if kind is TargetKind.IEEE_KDF:
+        if out_len != IEEE_OUTPUT_LEN:
+            raise ValueError(f"IEEE_KDF derives {IEEE_OUTPUT_LEN} bytes, got out_len={out_len}")
+        return lambda ij: ieee_kdf(key, ij[:4], ij[4:], PURPOSE_SIGNING)
+    if out_len is None:
+        raise ValueError(f"{kind.value} target needs an out_len")
     if kind is TargetKind.HMAC_KDF:
         return lambda msg: counter_kdf(PrfChoice.HMAC_SHA256, key, msg, out_len)
     if kind is TargetKind.CMAC_KDF:
         return lambda msg: counter_kdf(PrfChoice.CMAC_AES128, key, msg, out_len)
     if kind is TargetKind.KMAC_KDF:
         return lambda msg: kmac_kdf(key, msg, 8 * out_len)
-    if kind is TargetKind.IEEE_KDF:
-        return lambda ij: ieee_kdf(key, ij[:4], ij[4:], PURPOSE_SIGNING)
     raise ValueError(f"unknown bench target kind: {kind}")
 
 

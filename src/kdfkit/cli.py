@@ -13,7 +13,7 @@ from . import vectors
 from .cmac import cmac
 from .hmac import hmac
 from .kdf import counter_kdf, ieee_kdf, kmac_kdf, PrfChoice
-from .kmac import KmacParams, KmacVariant, kmac
+from .kmac import kmac128, kmac256
 
 EXIT_OK = 0
 EXIT_SELFTEST_FAIL = 1
@@ -88,8 +88,8 @@ def _cmd_mac(args) -> int:
     elif args.algorithm == "cmac":
         tag = cmac(args.key, args.msg)
     else:
-        variant = KmacVariant.KMAC128 if args.variant == 128 else KmacVariant.KMAC256
-        tag = kmac(args.key, args.msg, KmacParams(variant, args.bits, args.custom))
+        kmac = kmac128 if args.variant == 128 else kmac256
+        tag = kmac(args.key, args.msg, args.bits, args.custom)
     print(tag.hex())
     return EXIT_OK
 
@@ -120,6 +120,10 @@ def _cmd_selftest(args) -> int:
         print(f"error: cannot load vector file {path}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     results = vectors.run_cases(cases, construction=args.filter)
+    if not results:
+        selected = "" if args.filter is None else f" matches --filter {args.filter!r}"
+        print(f"error: no case in vector file {path}{selected}", file=sys.stderr)
+        return EXIT_USAGE
     passed = 0
     for result in results:
         if result.passed:

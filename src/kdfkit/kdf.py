@@ -4,7 +4,7 @@ Three families:
 
 * counter-mode KDF in the style of NIST SP 800-108, with HMAC-SHA256 or
   AES-128-CMAC as the pluggable PRF
-* KMAC-based KDF: KMAC with customization string "KDF"
+* KMAC-based KDF: KMAC128 with customization string "KDF"
 * the IEEE 1609.2.1 counter KDF used for butterfly key expansion, built
   directly on AES-128 in ECB fashion
 
@@ -71,11 +71,9 @@ def counter_kdf(prf: PrfChoice, key: bytes, msg: bytes, out_len: int) -> bytes:
     return bytes(out[:out_len])
 
 
-def kmac_kdf(key: bytes, msg: bytes, out_len_bits: int,
-             variant: kmac_mod.KmacVariant = kmac_mod.KmacVariant.KMAC128) -> bytes:
-    """KMAC with customization "KDF": one sponge pass for any output length."""
-    params = kmac_mod.KmacParams(variant, out_len_bits, KDF_LABEL)
-    return kmac_mod.kmac(key, msg, params)
+def kmac_kdf(key: bytes, msg: bytes, out_len_bits: int) -> bytes:
+    """KMAC128 with customization "KDF": one sponge pass for any output length."""
+    return kmac_mod.kmac128(key, msg, out_len_bits, KDF_LABEL)
 
 
 def ieee_kdf(key: bytes, i_value: bytes, j_value: bytes, purpose: int) -> bytes:

@@ -7,51 +7,26 @@ the message, and the right-encoded output bit length through cSHAKE with
 N = "KMAC". Outputs are byte-aligned only.
 """
 
-import enum
-from dataclasses import dataclass
-
-from .primitives import CSHAKE_PAD, SHAKE_PAD, sponge_absorb_squeeze
+from .primitives import CSHAKE_PAD, RATE_128, RATE_256, SHAKE_PAD, sponge_absorb_squeeze
 
 FUNCTION_NAME = b"KMAC"
 
 
-class KmacVariant(enum.Enum):
-    """Security variants and their sponge rates in bytes."""
-
-    KMAC128 = 168
-    KMAC256 = 136
-
-    @property
-    def rate(self) -> int:
-        return self.value
-
-
-@dataclass(frozen=True)
-class KmacParams:
-    variant: KmacVariant = KmacVariant.KMAC128
-    out_len_bits: int = 256
-    customization: bytes = b""
-
-    def __post_init__(self):
-        if self.out_len_bits <= 0:
-            raise ValueError("output length must be positive")
-        if self.out_len_bits % 8 != 0:
-            raise ValueError("output length must be a whole number of bytes")
+def _minimal_bytes(n: int) -> bytes:
+    if n < 0 or n >= 1 << 2040:
+        raise ValueError(f"value {n} out of encodable range")
+    return n.to_bytes(max(1, (n.bit_length() + 7) // 8), "big")
 
 
 def left_encode(n: int) -> bytes:
     """Minimal big-endian bytes of ``n`` prefixed with their byte count."""
-    if n < 0 or n >= 1 << 2040:
-        raise ValueError("value out of encodable range")
-    body = n.to_bytes(max(1, (n.bit_length() + 7) // 8), "big")
+    body = _minimal_bytes(n)
     return bytes([len(body)]) + body
 
 
 def right_encode(n: int) -> bytes:
     """Minimal big-endian bytes of ``n`` suffixed with their byte count."""
-    if n < 0 or n >= 1 << 2040:
-        raise ValueError("value out of encodable range")
-    body = n.to_bytes(max(1, (n.bit_length() + 7) // 8), "big")
+    body = _minimal_bytes(n)
     return body + bytes([len(body)])
 
 
@@ -80,20 +55,20 @@ def cshake(msg: bytes, out_len_bits: int, n: bytes, s: bytes, rate: int) -> byte
     return sponge_absorb_squeeze(prefix + msg, rate, CSHAKE_PAD, out_len)
 
 
-def kmac(key: bytes, msg: bytes, params: KmacParams = KmacParams()) -> bytes:
-    """KMAC tag of ``msg`` under ``key``; ``out_len_bits/8`` bytes.
+def kmac(key: bytes, msg: bytes, out_len_bits: int, customization: bytes, rate: int) -> bytes:
+    """KMAC tag of ``msg`` under ``key`` at the given sponge rate; ``out_len_bits/8`` bytes.
 
     The output length is absorbed via right_encode, so tags of different
-    lengths are unrelated rather than truncations of each other.
+    lengths are unrelated rather than truncations of each other. A length
+    that is not a positive whole number of bytes raises ``ValueError``.
     """
-    rate = params.variant.rate
-    framed = bytepad(encode_string(key), rate) + msg + right_encode(params.out_len_bits)
-    return cshake(framed, params.out_len_bits, FUNCTION_NAME, params.customization, rate)
+    framed = bytepad(encode_string(key), rate) + msg + right_encode(out_len_bits)
+    return cshake(framed, out_len_bits, FUNCTION_NAME, customization, rate)
 
 
 def kmac128(key: bytes, msg: bytes, out_len_bits: int = 256, customization: bytes = b"") -> bytes:
-    return kmac(key, msg, KmacParams(KmacVariant.KMAC128, out_len_bits, customization))
+    return kmac(key, msg, out_len_bits, customization, RATE_128)
 
 
 def kmac256(key: bytes, msg: bytes, out_len_bits: int = 512, customization: bytes = b"") -> bytes:
-    return kmac(key, msg, KmacParams(KmacVariant.KMAC256, out_len_bits, customization))
+    return kmac(key, msg, out_len_bits, customization, RATE_256)

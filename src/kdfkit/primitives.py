@@ -20,8 +20,10 @@ from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 AES_BLOCK_LEN = 16
 AES_KEY_LEN = 16
 
-# Sponge rates used by the SHAKE/cSHAKE-128 (168) and -256 (136) variants.
-VALID_RATES = (168, 136)
+# Sponge rates in bytes of the 128- and 256-bit SHAKE/cSHAKE/KMAC variants.
+RATE_128 = 168
+RATE_256 = 136
+VALID_RATES = (RATE_128, RATE_256)
 
 # Multi-rate padding domain bytes per FIPS 202 / SP 800-185.
 SHAKE_PAD = 0x1F

@@ -25,7 +25,7 @@ from . import cmac as cmac_mod
 from . import hmac as hmac_mod
 from . import kdf as kdf_mod
 from . import kmac as kmac_mod
-from .primitives import aes_encrypt_block, sha256
+from .primitives import RATE_128, aes_encrypt_block, sha256
 
 BUNDLED_VECTOR_FILE = "standard_vectors.json"
 
@@ -114,18 +114,17 @@ def compute_case(case: VectorCase) -> bytes:
     if kind == "sha256":
         return sha256(case.msg)
     if kind == "shake128":
-        return kmac_mod.cshake(case.msg, number("L"), b"", b"", rate=168)
+        return kmac_mod.cshake(case.msg, number("L"), b"", b"", RATE_128)
     if kind == "hmac_sha256":
         return hmac_mod.hmac(case.key, case.msg)
     if kind == "cmac_aes128":
         return cmac_mod.cmac(case.key, case.msg)
     if kind == "cshake128":
         return kmac_mod.cshake(case.msg, number("L"), hex_param("N", ""), hex_param("S", ""),
-                               rate=168)
+                               RATE_128)
     if kind in ("kmac128", "kmac256"):
-        variant = kmac_mod.KmacVariant.KMAC128 if kind == "kmac128" else kmac_mod.KmacVariant.KMAC256
-        params = kmac_mod.KmacParams(variant, number("L"), hex_param("S", ""))
-        return kmac_mod.kmac(case.key, case.msg, params)
+        kmac = kmac_mod.kmac128 if kind == "kmac128" else kmac_mod.kmac256
+        return kmac(case.key, case.msg, number("L"), hex_param("S", ""))
     if kind == "ctr_kdf_hmac":
         return kdf_mod.counter_kdf(kdf_mod.PrfChoice.HMAC_SHA256, case.key, case.msg, number("L"))
     if kind == "ctr_kdf_cmac":

@@ -61,6 +61,16 @@ class TestRunBench:
         assert all(t.msg_len == 32 for t in targets)
         assert all(t.out_len == 48 for t in targets if t.kind in KDF_KINDS)
 
+    # A KDF row derives exactly the out_len it exports; IEEE_KDF can only derive 48 B.
+    @pytest.mark.parametrize("kind, out_len", [
+        (TargetKind.HMAC_KDF, None), (TargetKind.CMAC_KDF, None), (TargetKind.KMAC_KDF, None),
+        (TargetKind.IEEE_KDF, None), (TargetKind.IEEE_KDF, 32), (TargetKind.IEEE_KDF, 64),
+    ])
+    def test_kdf_target_out_len_validated(self, kind, out_len):
+        target = BenchTarget(kind=kind, key=b"k" * 16, out_len=out_len)
+        with pytest.raises(ValueError, match="out_len"):
+            run_bench(target, iterations=1, warmup=0)
+
     def test_parameter_validation(self):
         target = default_targets(seed=0)[0]
         with pytest.raises(ValueError):

@@ -129,6 +129,21 @@ class TestSelftest:
         code, _, _ = run_cli(capsys, "selftest", "--vectors", str(bad))
         assert code == 2
 
+    @pytest.mark.parametrize("vector_file, args, named", [
+        (None, ["--filter", "cmca"], "'cmca'"),
+        ("[]", [], "empty.json"),
+    ], ids=["filter-typo", "empty-file"])
+    def test_nothing_selected_exits_2(self, capsys, tmp_path, vector_file, args, named):
+        if vector_file is not None:
+            path = tmp_path / "empty.json"
+            path.write_text(vector_file)
+            args = ["--vectors", str(path), *args]
+        code, out, err = run_cli(capsys, "selftest", *args)
+        assert code == 2
+        assert "0/0" not in out
+        assert err.startswith("error:")
+        assert named in err
+
     @pytest.mark.parametrize("fields, reason", [
         ({"params": {}}, "case bad-params param L"),
         ({"params": {"L": "256"}}, "case bad-params param L"),

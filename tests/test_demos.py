@@ -10,8 +10,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-# 03_benchmark.py is left out: it times the constructions and writes files.
-@pytest.mark.parametrize("demo", ["01_macs.py", "02_kdfs.py"])
+# Each demo runs in a temp dir: 03_benchmark.py writes demo_bench.csv/json to its cwd.
+@pytest.mark.parametrize("demo", ["01_macs.py", "02_kdfs.py", "03_benchmark.py"])
 def test_demo_runs(demo, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=tmp_path,

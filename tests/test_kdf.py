@@ -3,6 +3,14 @@
 import random
 
 import pytest
+from cryptography.hazmat.primitives import hashes
+from cryptography.hazmat.primitives.ciphers import algorithms
+from cryptography.hazmat.primitives.kdf.kbkdf import (
+    KBKDFCMAC,
+    KBKDFHMAC,
+    CounterLocation,
+    Mode,
+)
 
 from kdfkit.cmac import cmac
 from kdfkit.hmac import hmac
@@ -45,6 +53,21 @@ def manual_ieee(key, i_value, j_value, purpose):
     return out
 
 
+def kbkdf(prf, key, out_len, label=None, context=None, fixed=None):
+    """SP 800-108 counter mode from ``cryptography``: r = 4, counter before the fixed input.
+
+    Pass ``fixed`` for a caller-built fixed input, or ``label``/``context`` for
+    the standard's own framing, which appends [L]_2 as the output length in bits.
+    """
+    llen = None if fixed is not None else 4
+    if prf is PrfChoice.HMAC_SHA256:
+        kbkdf_cls, prf_arg = KBKDFHMAC, hashes.SHA256()
+    else:
+        kbkdf_cls, prf_arg = KBKDFCMAC, algorithms.AES
+    return kbkdf_cls(prf_arg, Mode.CounterMode, out_len, 4, llen, CounterLocation.BeforeFixed,
+                     label, context, fixed).derive(key)
+
+
 class TestCounterKdf:
     def test_single_block_decomposition(self):
         msg = b"context"
@@ -79,6 +102,21 @@ class TestCounterKdf:
             out_len = rng.randrange(1, 120)
             assert counter_kdf(prf, key, msg, out_len) == \
                 manual_counter_blocks(prf, key, msg, out_len)
+
+    @pytest.mark.parametrize("prf", list(PrfChoice))
+    def test_matches_installed_kbkdf(self, prf):
+        # kdfkit's [L] is the output length in bytes, so it equals KBKDF only
+        # with the fixed input built by hand; the standard's bit-length
+        # framing gives different bytes at every length.
+        rng = random.Random(0x108 + prf.block_len)
+        for out_len in range(1, 97):
+            for _ in range(5):
+                key = rng.randbytes(16)
+                msg = rng.randbytes(rng.randrange(0, 64))
+                out = counter_kdf(prf, key, msg, out_len)
+                fixed = b"KDF\x00" + msg + out_len.to_bytes(4, "big")
+                assert out == kbkdf(prf, key, out_len, fixed=fixed), (out_len, msg.hex())
+                assert out != kbkdf(prf, key, out_len, label=b"KDF", context=msg)
 
     def test_hmac_accepts_any_key_length(self):
         assert len(counter_kdf(PrfChoice.HMAC_SHA256, b"", b"m", 10)) == 10

@@ -5,9 +5,8 @@ import random
 
 import pytest
 
+from kdfkit.kdf import kmac_kdf
 from kdfkit.kmac import (
-    KmacParams,
-    KmacVariant,
     bytepad,
     cshake,
     encode_string,
@@ -17,6 +16,7 @@ from kdfkit.kmac import (
     left_encode,
     right_encode,
 )
+from kdfkit.primitives import RATE_128, RATE_256
 
 SAMPLE_KEY = bytes(range(0x40, 0x60))
 LONG_MSG = bytes(range(200))
@@ -119,8 +119,10 @@ class TestKmac:
     def test_kmac256_rate_and_length(self):
         out = kmac256(SAMPLE_KEY, b"m", 512)
         assert len(out) == 64
-        assert KmacVariant.KMAC256.rate == 136
-        assert KmacVariant.KMAC128.rate == 168
+        assert RATE_256 == 136
+        assert RATE_128 == 168
+        assert out == kmac(SAMPLE_KEY, b"m", 512, b"", RATE_256)
+        assert kmac128(SAMPLE_KEY, b"m") == kmac(SAMPLE_KEY, b"m", 256, b"", RATE_128)
 
     def test_variants_disagree(self):
         assert kmac128(SAMPLE_KEY, b"m", 256) != kmac256(SAMPLE_KEY, b"m", 256)
@@ -128,4 +130,8 @@ class TestKmac:
     @pytest.mark.parametrize("bits", [0, -8, 12, 255])
     def test_invalid_output_bits(self, bits):
         with pytest.raises(ValueError):
-            kmac(SAMPLE_KEY, b"m", KmacParams(KmacVariant.KMAC128, bits, b""))
+            kmac(SAMPLE_KEY, b"m", bits, b"", RATE_128)
+        with pytest.raises(ValueError):
+            kmac256(SAMPLE_KEY, b"m", bits)
+        with pytest.raises(ValueError):
+            kmac_kdf(SAMPLE_KEY, b"m", bits)
