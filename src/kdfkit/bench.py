@@ -21,7 +21,7 @@ import json
 import random
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .cmac import cmac
 from .hmac import hmac
@@ -35,11 +35,6 @@ DEFAULT_KDF_OUT_LEN = 48
 
 # Soft expectation for the KMAC/CMAC mean ratio on commodity hardware.
 KMAC_CMAC_RATIO_RANGE = (1.2, 5.0)
-
-CSV_COLUMNS = (
-    "target", "msg_len", "out_len",
-    "mean_ms", "median_ms", "stddev_ms", "q1_ms", "q3_ms", "min_ms", "max_ms",
-)
 
 
 class TargetKind(enum.Enum):
@@ -85,6 +80,11 @@ class BenchStats:
     q3_ms: float
     min_ms: float
     max_ms: float
+
+
+# Exported after the three target columns, in field order.
+_STAT_NAMES = tuple(f.name for f in fields(BenchStats))
+CSV_COLUMNS = ("target", "msg_len", "out_len", *_STAT_NAMES)
 
 
 def default_targets(seed: int = 0) -> list:
@@ -182,13 +182,7 @@ def _stat_record(target: BenchTarget, stats: BenchStats) -> dict:
         "target": target.kind.value,
         "msg_len": target.msg_len,
         "out_len": target.out_len,
-        "mean_ms": round(stats.mean_ms, 6),
-        "median_ms": round(stats.median_ms, 6),
-        "stddev_ms": round(stats.stddev_ms, 6),
-        "q1_ms": round(stats.q1_ms, 6),
-        "q3_ms": round(stats.q3_ms, 6),
-        "min_ms": round(stats.min_ms, 6),
-        "max_ms": round(stats.max_ms, 6),
+        **{name: round(getattr(stats, name), 6) for name in _STAT_NAMES},
     }
 
 
@@ -212,7 +206,7 @@ def export_results(results: list, fmt: str) -> bytes:
             writer.writerow([
                 rec["target"], rec["msg_len"],
                 "" if rec["out_len"] is None else rec["out_len"],
-                *(f"{rec[col]:.6f}" for col in CSV_COLUMNS[3:]),
+                *(f"{rec[name]:.6f}" for name in _STAT_NAMES),
             ])
         return buf.getvalue().encode()
     raise ValueError(f"unknown export format: {fmt}")

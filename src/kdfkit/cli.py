@@ -27,6 +27,20 @@ def _hex_arg(value: str) -> bytes:
         raise argparse.ArgumentTypeError(f"not valid hex: {value!r}") from None
 
 
+def _construction(constructions, name: str, help_text: str, call,
+                  msg_help="message as hex") -> argparse.ArgumentParser:
+    """Sub-parser taking ``--key`` and, unless ``msg_help`` is None, ``--msg``.
+
+    ``call(args)`` returns the bytes to print; the caller adds any other flags.
+    """
+    parser = constructions.add_parser(name, help=help_text)
+    parser.add_argument("--key", type=_hex_arg, required=True, help="key as hex")
+    if msg_help is not None:
+        parser.add_argument("--msg", type=_hex_arg, default=b"", help=msg_help)
+    parser.set_defaults(handler=_cmd_compute, call=call)
+    return parser
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kdfkit",
@@ -35,40 +49,58 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    mac = sub.add_parser("mac", help="compute a MAC tag")
-    mac.add_argument("algorithm", choices=["hmac", "cmac", "kmac"])
-    mac.add_argument("--key", type=_hex_arg, required=True, help="key as hex")
-    mac.add_argument("--msg", type=_hex_arg, default=b"", help="message as hex")
-    mac.add_argument("--bits", type=int, default=256,
-                     help="kmac only: output length in bits (default 256)")
-    mac.add_argument("--custom", type=_hex_arg, default=b"",
-                     help="kmac only: customization string as hex")
-    mac.add_argument("--variant", type=int, choices=[128, 256], default=128,
-                     help="kmac only: security variant (default 128)")
+    macs = sub.add_parser("mac", help="compute a MAC tag").add_subparsers(
+        dest="algorithm", required=True)
+    _construction(macs, "hmac", "HMAC-SHA256, 32 bytes",
+                  lambda args: hmac(args.key, args.msg))
+    _construction(macs, "cmac", "AES-128 CMAC, 16 bytes",
+                  lambda args: cmac(args.key, args.msg))
+    kmac = _construction(
+        macs, "kmac", "KMAC128 or KMAC256",
+        lambda args: (kmac128 if args.variant == 128 else kmac256)(
+            args.key, args.msg, args.bits, args.custom))
+    kmac.add_argument("--bits", type=int, default=256,
+                      help="output length in bits (default 256)")
+    kmac.add_argument("--custom", type=_hex_arg, default=b"",
+                      help="customization string as hex")
+    kmac.add_argument("--variant", type=int, choices=[128, 256], default=128,
+                      help="security variant (default 128)")
 
-    kdf = sub.add_parser("kdf", help="derive pseudorandom bytes")
-    kdf.add_argument("family", choices=["ctr", "kmac", "ieee"])
-    kdf.add_argument("--key", type=_hex_arg, required=True, help="key as hex")
-    kdf.add_argument("--msg", type=_hex_arg, default=b"",
-                     help="ctr/kmac: context message as hex")
-    kdf.add_argument("--prf", choices=["hmac", "cmac"],
-                     help="ctr only: pseudorandom function")
-    kdf.add_argument("--len", dest="out_len", type=int,
-                     help="ctr only: output length in bytes")
-    kdf.add_argument("--bits", type=int,
-                     help="kmac only: output length in bits")
-    kdf.add_argument("--i", dest="i_value", type=_hex_arg,
-                     help="ieee only: 4-byte period index as hex")
-    kdf.add_argument("--j", dest="j_value", type=_hex_arg,
-                     help="ieee only: 4-byte key index as hex")
-    kdf.add_argument("--purpose", type=int, choices=[1, 2],
-                     help="ieee only: 1 = signing, 2 = encryption")
+    kdfs = sub.add_parser("kdf", help="derive pseudorandom bytes").add_subparsers(
+        dest="family", required=True)
+    ctr = _construction(
+        kdfs, "ctr", "counter-mode KDF over HMAC-SHA256 or AES-128 CMAC",
+        lambda args: counter_kdf(
+            PrfChoice.HMAC_SHA256 if args.prf == "hmac" else PrfChoice.CMAC_AES128,
+            args.key, args.msg, args.out_len),
+        msg_help="context message as hex")
+    ctr.add_argument("--prf", choices=["hmac", "cmac"], required=True,
+                     help="pseudorandom function")
+    ctr.add_argument("--len", dest="out_len", type=int, required=True,
+                     help="output length in bytes")
+    kmac_family = _construction(
+        kdfs, "kmac", 'KMAC128 with customization "KDF"',
+        lambda args: kmac_kdf(args.key, args.msg, args.bits),
+        msg_help="context message as hex")
+    kmac_family.add_argument("--bits", type=int, required=True,
+                             help="output length in bits")
+    ieee = _construction(
+        kdfs, "ieee", "IEEE 1609.2.1 butterfly expansion KDF, 48 bytes",
+        lambda args: ieee_kdf(args.key, args.i_value, args.j_value, args.purpose),
+        msg_help=None)
+    ieee.add_argument("--i", dest="i_value", type=_hex_arg, required=True,
+                      help="4-byte period index as hex")
+    ieee.add_argument("--j", dest="j_value", type=_hex_arg, required=True,
+                      help="4-byte key index as hex")
+    ieee.add_argument("--purpose", type=int, choices=[1, 2], required=True,
+                      help="1 = signing, 2 = encryption")
 
     selftest = sub.add_parser("selftest", help="run known-answer vectors")
     selftest.add_argument("--vectors", default=None,
                           help="vector file (default: bundled standard vectors)")
     selftest.add_argument("--filter", default=None,
                           help="only run cases of this construction")
+    selftest.set_defaults(handler=_cmd_selftest)
 
     bench = sub.add_parser("bench", help="run the timing comparison")
     bench.add_argument("--targets", choices=["all", "macs", "kdfs"], default="all")
@@ -79,36 +111,12 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--out", default=None,
                        help="result file path (default bench_results.<format>)")
     bench.add_argument("--format", choices=["csv", "json"], default="csv")
+    bench.set_defaults(handler=_cmd_bench)
     return parser
 
 
-def _cmd_mac(args) -> int:
-    if args.algorithm == "hmac":
-        tag = hmac(args.key, args.msg)
-    elif args.algorithm == "cmac":
-        tag = cmac(args.key, args.msg)
-    else:
-        kmac = kmac128 if args.variant == 128 else kmac256
-        tag = kmac(args.key, args.msg, args.bits, args.custom)
-    print(tag.hex())
-    return EXIT_OK
-
-
-def _cmd_kdf(args) -> int:
-    if args.family == "ctr":
-        if args.prf is None or args.out_len is None:
-            raise ValueError("kdf ctr requires --prf and --len")
-        prf = PrfChoice.HMAC_SHA256 if args.prf == "hmac" else PrfChoice.CMAC_AES128
-        out = counter_kdf(prf, args.key, args.msg, args.out_len)
-    elif args.family == "kmac":
-        if args.bits is None:
-            raise ValueError("kdf kmac requires --bits")
-        out = kmac_kdf(args.key, args.msg, args.bits)
-    else:
-        if args.i_value is None or args.j_value is None or args.purpose is None:
-            raise ValueError("kdf ieee requires --i, --j and --purpose")
-        out = ieee_kdf(args.key, args.i_value, args.j_value, args.purpose)
-    print(out.hex())
+def _cmd_compute(args) -> int:
+    print(args.call(args).hex())
     return EXIT_OK
 
 
@@ -176,14 +184,8 @@ def _cmd_bench(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "mac": _cmd_mac,
-        "kdf": _cmd_kdf,
-        "selftest": _cmd_selftest,
-        "bench": _cmd_bench,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -16,7 +16,7 @@ import enum
 from . import cmac as cmac_mod
 from . import hmac as hmac_mod
 from . import kmac as kmac_mod
-from .primitives import AesBlockCipher
+from .primitives import AES_BLOCK_LEN, SHA256_DIGEST_LEN, AesBlockCipher
 
 KDF_LABEL = b"KDF"
 
@@ -38,8 +38,8 @@ IEEE_OUTPUT_LEN = 48
 class PrfChoice(enum.Enum):
     """PRF selector for the counter-mode KDF, with output block size B."""
 
-    HMAC_SHA256 = 32
-    CMAC_AES128 = 16
+    HMAC_SHA256 = SHA256_DIGEST_LEN
+    CMAC_AES128 = AES_BLOCK_LEN
 
     @property
     def block_len(self) -> int:

@@ -13,12 +13,15 @@ bit-granular messages are not supported.
 """
 
 import hashlib
-from dataclasses import dataclass
 
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 AES_BLOCK_LEN = 16
 AES_KEY_LEN = 16
+
+# SHA-256 input block (the HMAC key block) and digest sizes in bytes.
+SHA256_BLOCK_LEN = 64
+SHA256_DIGEST_LEN = 32
 
 # Sponge rates in bytes of the 128- and 256-bit SHAKE/cSHAKE/KMAC variants.
 RATE_128 = 168
@@ -28,36 +31,6 @@ VALID_RATES = (RATE_128, RATE_256)
 # Multi-rate padding domain bytes per FIPS 202 / SP 800-185.
 SHAKE_PAD = 0x1F
 CSHAKE_PAD = 0x04
-
-
-@dataclass(frozen=True)
-class HashSpec:
-    """Parameters of a hash function usable inside HMAC.
-
-    ``block_len`` is the input block size of the hash (64 bytes for
-    SHA-256, not the 32-byte digest size), ``digest_len`` its output size.
-    """
-
-    name: str
-    block_len: int
-    digest_len: int
-
-    def __post_init__(self):
-        if not self.block_len > self.digest_len > 0:
-            raise ValueError(
-                "hash spec requires block_len > digest_len > 0, got "
-                f"{self.block_len}/{self.digest_len}"
-            )
-
-    def digest(self, data: bytes) -> bytes:
-        return hashlib.new(self.name, data).digest()
-
-    def new(self):
-        """Fresh incremental hash object (hashlib interface)."""
-        return hashlib.new(self.name)
-
-
-SHA256 = HashSpec("sha256", block_len=64, digest_len=32)
 
 
 def sha256(data: bytes) -> bytes:

@@ -11,6 +11,11 @@ A vector file is a JSON list of cases::
       "expect": "b034.."        # hex
     }
 
+``L`` is passed straight to the function the case names, so its unit is
+that function's: bits for ``shake128``, ``cshake128``, ``kmac128``,
+``kmac256`` and ``kmac_kdf``, bytes for ``ctr_kdf_hmac`` and
+``ctr_kdf_cmac``.
+
 Hex is case-insensitive on input; all output is lowercase. The bundled file
 ``data/standard_vectors.json`` carries the published RFC/NIST vectors this
 package is validated against.

@@ -77,16 +77,52 @@ class TestKdf:
         assert kdf_out == mac_out
 
     def test_missing_family_parameter_exits_2(self, capsys):
-        code, _, err = run_cli(capsys, "kdf", "ctr", "--key", CMAC_KEY, "--msg", "")
-        assert code == 2
-        assert "requires" in err
-        code, _, _ = run_cli(capsys, "kdf", "ieee", "--key", CMAC_KEY, "--i", "00000000")
-        assert code == 2
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["kdf", "ctr", "--key", CMAC_KEY, "--msg", ""])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--prf" in err and "--len" in err
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["kdf", "ieee", "--key", CMAC_KEY, "--i", "00000000"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--j" in err and "--purpose" in err
 
     def test_bad_length_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "kdf", "ctr", "--prf", "hmac", "--key", "aa",
                              "--msg", "", "--len", "0")
         assert code == 2
+
+
+class TestParsers:
+    @pytest.mark.parametrize("argv", [
+        ["mac", "hmac", "--key", "00", "--bits", "12"],
+        ["mac", "cmac", "--key", CMAC_KEY, "--custom", "ff"],
+        ["mac", "hmac", "--key", "00", "--variant", "256"],
+        ["kdf", "ctr", "--key", "00", "--prf", "hmac", "--len", "8", "--bits", "64"],
+        ["kdf", "kmac", "--key", "00", "--bits", "64", "--prf", "hmac"],
+        ["kdf", "ieee", "--key", CMAC_KEY, "--i", "00000000", "--j", "00000000",
+         "--purpose", "1", "--msg", "00"],
+    ], ids=["hmac-bits", "cmac-custom", "hmac-variant", "ctr-bits", "kmac-kdf-prf",
+            "ieee-msg"])
+    def test_foreign_flag_exits_2(self, capsys, argv):
+        # Each command line is valid without its last flag, which belongs to
+        # another construction.
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        [], ["mac"], ["mac", "hmac"], ["mac", "cmac"], ["mac", "kmac"], ["kdf"],
+        ["kdf", "ctr"], ["kdf", "kmac"], ["kdf", "ieee"], ["selftest"], ["bench"],
+    ], ids=lambda command: " ".join(command) or "top")
+    def test_help_renders(self, capsys, command):
+        # argparse formats help strings only on request, so a bad one fails only here.
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*command, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(" ".join(["usage: kdfkit", *command]))
 
 
 class TestSelftest:

@@ -6,8 +6,8 @@ import random
 import pytest
 
 from kdfkit.primitives import (
-    SHA256,
-    HashSpec,
+    SHA256_BLOCK_LEN,
+    SHA256_DIGEST_LEN,
     KeccakSponge,
     aes_encrypt_block,
     keccak_f1600,
@@ -78,17 +78,9 @@ class TestSha256:
         assert sha256(buf) == sha256(buf)
         assert sha256(buf) == hashlib.sha256(buf).digest()
 
-
-class TestHashSpec:
-    def test_sha256_spec_dimensions(self):
-        assert SHA256.block_len == 64
-        assert SHA256.digest_len == 32
-
-    def test_rejects_degenerate_dimensions(self):
-        with pytest.raises(ValueError):
-            HashSpec("sha256", block_len=32, digest_len=32)
-        with pytest.raises(ValueError):
-            HashSpec("sha256", block_len=64, digest_len=0)
+    def test_block_and_digest_lengths(self):
+        assert SHA256_BLOCK_LEN == 64
+        assert len(sha256(b"")) == SHA256_DIGEST_LEN == 32
 
 
 class TestSponge:
