@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Run the timing comparison at a reduced scale and export the results.
 
-Times every construction on 32-byte messages (48-byte outputs for the
-KDFs), prints the mean/median/stddev table plus box-plot quartiles, and
-writes CSV/JSON files. Expected-ordering checks print WARN lines when this
-machine disagrees; they never fail the run.
+Times every construction on 32-byte messages (the IEEE KDF on its 8-byte
+i||j; 48-byte outputs for the KDFs), prints the mean/median/stddev table
+plus box-plot quartiles, and writes CSV/JSON files. Expected-ordering
+checks print WARN lines when this machine disagrees; they never fail the
+run.
 
 The full-scale run (1000 iterations) is available from the CLI:
     kdfkit bench --iterations 1000 --seed 1 --format csv --out results.csv
@@ -18,13 +19,7 @@ ITERATIONS = 200
 SEED = 1
 
 print(f"== timing {ITERATIONS} invocations per target (seed {SEED}) ==")
-results = []
-stats_by_kind = {}
-for target in bench.default_targets(seed=SEED):
-    samples = bench.run_bench(target, iterations=ITERATIONS, warmup=20, seed=SEED)
-    stats = bench.summarize(samples)
-    results.append((target, stats))
-    stats_by_kind[target.kind] = stats
+results = bench.run_table(bench.default_targets(seed=SEED), ITERATIONS, warmup=20, seed=SEED)
 
 header = f"{'target':<10} {'mean':>10} {'median':>10} {'stddev':>10} {'q1':>10} {'q3':>10}"
 print(header)
@@ -35,7 +30,7 @@ for target, stats in results:
 print("(all values in milliseconds)")
 print()
 
-warnings = bench.ordering_warnings(stats_by_kind)
+warnings = bench.ordering_warnings({t.kind: s for t, s in results})
 if warnings:
     print("ordering checks against the expected cost ranking:")
     for line in warnings:

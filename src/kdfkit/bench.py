@@ -25,13 +25,13 @@ from dataclasses import dataclass, fields
 
 from .cmac import cmac
 from .hmac import hmac
-from .kdf import IEEE_OUTPUT_LEN, PURPOSE_SIGNING, PrfChoice, counter_kdf, ieee_kdf, kmac_kdf
+from .kdf import (IEEE_INDEX_LEN, IEEE_OUTPUT_LEN, PURPOSE_SIGNING, PrfChoice, counter_kdf,
+                  ieee_kdf, kmac_kdf)
 from .kmac import kmac128
 
 DEFAULT_ITERATIONS = 1000
 DEFAULT_WARMUP = 100
-DEFAULT_MSG_LEN = 32
-DEFAULT_KDF_OUT_LEN = 48
+MSG_LEN = 32
 
 # Soft expectation for the KMAC/CMAC mean ratio on commodity hardware.
 KMAC_CMAC_RATIO_RANGE = (1.2, 5.0)
@@ -58,15 +58,21 @@ class BenchTarget:
 
     kind: TargetKind
     key: bytes
-    msg_len: int = DEFAULT_MSG_LEN
-    out_len: int | None = None  # KDF kinds only (IEEE_KDF: always 48); MAC kinds ignore it
+
+    @property
+    def msg_len(self) -> int:
+        """Input bytes per call: the IEEE KDF's i||j, else a 32-byte message."""
+        return 2 * IEEE_INDEX_LEN if self.kind is TargetKind.IEEE_KDF else MSG_LEN
+
+    @property
+    def out_len(self) -> int | None:
+        """Derived bytes per KDF call (the IEEE KDF's fixed 48); None for a MAC."""
+        return None if self.kind in MAC_KINDS else IEEE_OUTPUT_LEN
 
 
 @dataclass(frozen=True)
 class TimingSampleSet:
     samples_ns: tuple
-    iterations: int
-    warmup_count: int
     inputs_digest: str  # sha256 over the generated input stream, for replay checks
     output_checksum: int
 
@@ -90,48 +96,27 @@ CSV_COLUMNS = ("target", "msg_len", "out_len", *_STAT_NAMES)
 def default_targets(seed: int = 0) -> list:
     """The seven standard targets with fresh per-run-set random keys."""
     rng = random.Random(seed)
-    targets = []
-    for kind in MAC_KINDS:
-        targets.append(BenchTarget(kind=kind, key=rng.randbytes(16)))
-    for kind in KDF_KINDS:
-        targets.append(BenchTarget(kind=kind, key=rng.randbytes(16),
-                                   out_len=DEFAULT_KDF_OUT_LEN))
-    return targets
+    return [BenchTarget(kind=kind, key=rng.randbytes(16)) for kind in TargetKind]
 
 
 def _make_op(target: BenchTarget):
-    key = target.key
-    kind = target.kind
+    key, kind, out_len = target.key, target.kind, target.out_len
     if kind is TargetKind.HMAC:
         return lambda msg: hmac(key, msg)
     if kind is TargetKind.CMAC:
         return lambda msg: cmac(key, msg)
     if kind is TargetKind.KMAC:
         return lambda msg: kmac128(key, msg)
-    out_len = target.out_len
-    if kind is TargetKind.IEEE_KDF:
-        if out_len != IEEE_OUTPUT_LEN:
-            raise ValueError(f"IEEE_KDF derives {IEEE_OUTPUT_LEN} bytes, got out_len={out_len}")
-        return lambda ij: ieee_kdf(key, ij[:4], ij[4:], PURPOSE_SIGNING)
-    if out_len is None:
-        raise ValueError(f"{kind.value} target needs an out_len")
     if kind is TargetKind.HMAC_KDF:
         return lambda msg: counter_kdf(PrfChoice.HMAC_SHA256, key, msg, out_len)
     if kind is TargetKind.CMAC_KDF:
         return lambda msg: counter_kdf(PrfChoice.CMAC_AES128, key, msg, out_len)
     if kind is TargetKind.KMAC_KDF:
         return lambda msg: kmac_kdf(key, msg, 8 * out_len)
+    if kind is TargetKind.IEEE_KDF:
+        return lambda ij: ieee_kdf(key, ij[:IEEE_INDEX_LEN], ij[IEEE_INDEX_LEN:],
+                                   PURPOSE_SIGNING)
     raise ValueError(f"unknown bench target kind: {kind}")
-
-
-def _generate_inputs(target: BenchTarget, count: int, seed: int):
-    rng = random.Random(seed)
-    if target.kind is TargetKind.IEEE_KDF:
-        inputs = [rng.randbytes(8) for _ in range(count)]  # i_value || j_value
-    else:
-        inputs = [rng.randbytes(target.msg_len) for _ in range(count)]
-    digest = hashlib.sha256(b"".join(inputs)).hexdigest()
-    return inputs, digest
 
 
 def run_bench(target: BenchTarget, iterations: int = DEFAULT_ITERATIONS,
@@ -142,7 +127,8 @@ def run_bench(target: BenchTarget, iterations: int = DEFAULT_ITERATIONS,
     if warmup < 0:
         raise ValueError("warmup must not be negative")
     op = _make_op(target)
-    inputs, digest = _generate_inputs(target, warmup + iterations, seed)
+    rng = random.Random(seed)
+    inputs = [rng.randbytes(target.msg_len) for _ in range(warmup + iterations)]
     checksum = 0
     for data in inputs[:warmup]:
         checksum ^= op(data)[0]
@@ -153,9 +139,15 @@ def run_bench(target: BenchTarget, iterations: int = DEFAULT_ITERATIONS,
         result = op(data)
         samples.append(clock() - start)
         checksum ^= result[0]
-    return TimingSampleSet(samples_ns=tuple(samples), iterations=iterations,
-                           warmup_count=warmup, inputs_digest=digest,
+    return TimingSampleSet(samples_ns=tuple(samples),
+                           inputs_digest=hashlib.sha256(b"".join(inputs)).hexdigest(),
                            output_checksum=checksum)
+
+
+def run_table(targets, iterations: int, warmup: int, seed: int) -> list:
+    """(target, stats) per target; each is timed to completion before the next starts."""
+    return [(target, summarize(run_bench(target, iterations, warmup, seed)))
+            for target in targets]
 
 
 def summarize(sample_set: TimingSampleSet) -> BenchStats:

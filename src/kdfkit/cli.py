@@ -151,31 +151,23 @@ def _cmd_bench(args) -> int:
     elif args.targets == "kdfs":
         targets = [t for t in targets if t.kind in bench_mod.KDF_KINDS]
 
-    results = []
-    stats_by_kind = {}
-    for target in targets:  # strictly sequential, never interleaved
-        samples = bench_mod.run_bench(target, iterations=args.iterations,
-                                      warmup=args.warmup, seed=args.seed)
-        stats = bench_mod.summarize(samples)
-        results.append((target, stats))
-        stats_by_kind[target.kind] = stats
-
-    header = f"{'target':<10} {'mean_ms':>10} {'median_ms':>10} {'stddev_ms':>10}"
-    print(header)
-    for target, stats in results:
-        print(f"{target.kind.value:<10} {stats.mean_ms:>10.6f} "
-              f"{stats.median_ms:>10.6f} {stats.stddev_ms:>10.6f}")
-    for warning in bench_mod.ordering_warnings(stats_by_kind):
-        print(warning)
-
+    # Open the output first: an unwritable path fails before any target is timed.
     out_path = args.out if args.out is not None else f"bench_results.{args.format}"
-    payload = bench_mod.export_results(results, args.format)
     try:
-        with open(out_path, "wb") as handle:
-            handle.write(payload)
+        handle = open(out_path, "wb")
     except OSError as exc:
         print(f"error: cannot write {out_path}: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    with handle:
+        results = bench_mod.run_table(targets, args.iterations, args.warmup, args.seed)
+        header = f"{'target':<10} {'mean_ms':>10} {'median_ms':>10} {'stddev_ms':>10}"
+        print(header)
+        for target, stats in results:
+            print(f"{target.kind.value:<10} {stats.mean_ms:>10.6f} "
+                  f"{stats.median_ms:>10.6f} {stats.stddev_ms:>10.6f}")
+        for warning in bench_mod.ordering_warnings({t.kind: s for t, s in results}):
+            print(warning)
+        handle.write(bench_mod.export_results(results, args.format))
     print(f"results written to {out_path} "
           f"(iterations={args.iterations}, warmup={args.warmup}, seed={args.seed})")
     return EXIT_OK

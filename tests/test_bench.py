@@ -24,7 +24,6 @@ from kdfkit.bench import (
 
 def sample_set(values_ms):
     return TimingSampleSet(samples_ns=tuple(int(v * 1e6) for v in values_ms),
-                           iterations=len(values_ms), warmup_count=0,
                            inputs_digest="", output_checksum=0)
 
 
@@ -33,8 +32,6 @@ class TestRunBench:
         target = default_targets(seed=1)[0]
         samples = run_bench(target, iterations=100, warmup=10, seed=1)
         assert len(samples.samples_ns) == 100
-        assert samples.iterations == 100
-        assert samples.warmup_count == 10
         assert all(s > 0 for s in samples.samples_ns)
 
     def test_seeded_replay_same_inputs(self):
@@ -58,18 +55,16 @@ class TestRunBench:
     def test_default_target_set_shape(self):
         targets = default_targets(seed=0)
         assert [t.kind for t in targets] == list(MAC_KINDS) + list(KDF_KINDS)
-        assert all(t.msg_len == 32 for t in targets)
-        assert all(t.out_len == 48 for t in targets if t.kind in KDF_KINDS)
-
-    # A KDF row derives exactly the out_len it exports; IEEE_KDF can only derive 48 B.
-    @pytest.mark.parametrize("kind, out_len", [
-        (TargetKind.HMAC_KDF, None), (TargetKind.CMAC_KDF, None), (TargetKind.KMAC_KDF, None),
-        (TargetKind.IEEE_KDF, None), (TargetKind.IEEE_KDF, 32), (TargetKind.IEEE_KDF, 64),
-    ])
-    def test_kdf_target_out_len_validated(self, kind, out_len):
-        target = BenchTarget(kind=kind, key=b"k" * 16, out_len=out_len)
-        with pytest.raises(ValueError, match="out_len"):
-            run_bench(target, iterations=1, warmup=0)
+        # (msg_len, out_len) follow from the kind: IEEE_KDF reads its 8-byte
+        # i||j, and a MAC's tag length is its own.
+        assert {t.kind: (t.msg_len, t.out_len) for t in targets} == {
+            TargetKind.HMAC: (32, None), TargetKind.CMAC: (32, None),
+            TargetKind.KMAC: (32, None), TargetKind.HMAC_KDF: (32, 48),
+            TargetKind.CMAC_KDF: (32, 48), TargetKind.KMAC_KDF: (32, 48),
+            TargetKind.IEEE_KDF: (8, 48),
+        }
+        with pytest.raises(TypeError):
+            BenchTarget(kind=TargetKind.HMAC, key=b"k" * 16, out_len=48)
 
     def test_parameter_validation(self):
         target = default_targets(seed=0)[0]
@@ -139,7 +134,7 @@ class TestExport:
                            q1_ms=0.009, q3_ms=0.011, min_ms=0.008, max_ms=0.09)
         return [
             (BenchTarget(kind=TargetKind.HMAC, key=b"k" * 16), stats),
-            (BenchTarget(kind=TargetKind.IEEE_KDF, key=b"k" * 16, out_len=48), stats),
+            (BenchTarget(kind=TargetKind.IEEE_KDF, key=b"k" * 16), stats),
         ]
 
     def test_csv_shape(self, results):
@@ -150,12 +145,14 @@ class TestExport:
         assert first[0] == "HMAC"
         assert first[2] == ""  # MAC kinds carry no out_len
         assert first[3] == "0.012346"  # six decimal places
+        assert lines[2].startswith("IEEE_KDF,8,48,")  # its 8-byte i||j, 48 B derived
 
     def test_json_round_trip(self, results):
         parsed = json.loads(export_results(results, "json"))
         assert len(parsed) == 2
         assert parsed[0]["target"] == "HMAC"
         assert parsed[0]["out_len"] is None
+        assert parsed[1]["msg_len"] == 8
         assert parsed[1]["out_len"] == 48
         assert parsed[0]["mean_ms"] == round(results[0][1].mean_ms, 6)
         # serialize -> parse -> serialize is a fixed point

@@ -238,8 +238,17 @@ class TestBench:
         assert code == 2
         assert "error:" in err
 
-    def test_unwritable_output_exits_2(self, capsys, tmp_path):
+    def test_unwritable_output_exits_2(self, capsys, tmp_path, monkeypatch):
         code, _, err = run_cli(capsys, "bench", "--targets", "macs", "--iterations", "2",
                                "--warmup", "0", "--out", str(tmp_path / "no/dir/x.csv"))
         assert code == 2
         assert "error" in err
+
+        # The path is checked before any target is timed.
+        def no_timing(*args, **kwargs):
+            raise AssertionError("timed a target before checking --out")
+
+        monkeypatch.setattr(cli.bench_mod, "run_table", no_timing)
+        code, _, err = run_cli(capsys, "bench", "--out", str(tmp_path / "no/dir/x.csv"))
+        assert code == 2
+        assert "cannot write" in err
