@@ -151,22 +151,23 @@ def _cmd_bench(args) -> int:
     elif args.targets == "kdfs":
         targets = [t for t in targets if t.kind in bench_mod.KDF_KINDS]
 
-    # Open the output first: an unwritable path fails before any target is timed.
+    # Check the output first, so an unwritable path fails before any target is
+    # timed; append mode keeps an existing file as it was if the run then fails.
     out_path = args.out if args.out is not None else f"bench_results.{args.format}"
     try:
-        handle = open(out_path, "wb")
+        open(out_path, "ab").close()
     except OSError as exc:
         print(f"error: cannot write {out_path}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    with handle:
-        results = bench_mod.run_table(targets, args.iterations, args.warmup, args.seed)
-        header = f"{'target':<10} {'mean_ms':>10} {'median_ms':>10} {'stddev_ms':>10}"
-        print(header)
-        for target, stats in results:
-            print(f"{target.kind.value:<10} {stats.mean_ms:>10.6f} "
-                  f"{stats.median_ms:>10.6f} {stats.stddev_ms:>10.6f}")
-        for warning in bench_mod.ordering_warnings({t.kind: s for t, s in results}):
-            print(warning)
+    results = bench_mod.run_table(targets, args.iterations, args.warmup, args.seed)
+    header = f"{'target':<10} {'mean_ms':>10} {'median_ms':>10} {'stddev_ms':>10}"
+    print(header)
+    for target, stats in results:
+        print(f"{target.kind.value:<10} {stats.mean_ms:>10.6f} "
+              f"{stats.median_ms:>10.6f} {stats.stddev_ms:>10.6f}")
+    for warning in bench_mod.ordering_warnings({t.kind: s for t, s in results}):
+        print(warning)
+    with open(out_path, "wb") as handle:
         handle.write(bench_mod.export_results(results, args.format))
     print(f"results written to {out_path} "
           f"(iterations={args.iterations}, warmup={args.warmup}, seed={args.seed})")

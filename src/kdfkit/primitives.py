@@ -75,41 +75,115 @@ _ROUND_CONSTANTS = (
     0x8000000080008081, 0x8000000000008080, 0x0000000080000001, 0x8000000080008008,
 )
 
-# Rho rotation offsets, flat index x + 5*y.
-_ROTATIONS = (
-    0, 1, 62, 28, 27,
-    36, 44, 6, 55, 20,
-    3, 10, 43, 25, 39,
-    41, 45, 15, 21, 8,
-    18, 2, 61, 56, 14,
-)
-
-
-# Pi: lane x + 5*y moves to y + 5*((2x + 3y) % 5).
-_PI_DEST = tuple(y + 5 * ((2 * x + 3 * y) % 5) for y in range(5) for x in range(5))
-
-# Chi: lane x + 5*y combines with lanes (x+1, y) and (x+2, y).
-_CHI_NEIGHBOURS = tuple(((x + 1) % 5 + 5 * y, (x + 2) % 5 + 5 * y)
-                        for y in range(5) for x in range(5))
-
 
 def keccak_f1600(lanes: list) -> list:
     """One Keccak-f[1600] permutation over 25 64-bit lanes (new list returned)."""
-    a = lanes
-    b = [0] * 25
+    # Straight-line rounds over 25 local ints, in the shape of XKCP's compact
+    # KeccakP-1600 reference. The body was generated once, by a script that wrote
+    # out the loop form kept in tests/reference.py (keccak_f1600_reference) lane
+    # by lane: theta's column parities c[x] and d[x] = c[x-1] ^ rotl(c[x+1], 1);
+    # rho + pi with each lane's source, theta column and rotation as literals;
+    # chi along each row, with iota's round constant folded into lane 0. Chi's
+    # ~b[x+1] & b[x+2] is written (b[x+1] | b[x+2]) ^ b[x+1]: the same bits with
+    # no negative intermediate, which CPython's bitwise operators handle more slowly.
+    (a0, a1, a2, a3, a4,
+     a5, a6, a7, a8, a9,
+     a10, a11, a12, a13, a14,
+     a15, a16, a17, a18, a19,
+     a20, a21, a22, a23, a24) = lanes
     for rc in _ROUND_CONSTANTS:
-        # theta: c[x - 1] and c[x - 4] are the columns left and right of x.
-        c = [a[x] ^ a[x + 5] ^ a[x + 10] ^ a[x + 15] ^ a[x + 20] for x in range(5)]
-        d = [c[x - 1] ^ (((c[x - 4] << 1) | (c[x - 4] >> 63)) & _MASK64) for x in range(5)]
-        # theta applied per lane, then rho + pi
-        for v, dx, dest, r in zip(a, d * 5, _PI_DEST, _ROTATIONS):
-            v ^= dx
-            b[dest] = ((v << r) | (v >> (64 - r))) & _MASK64
-        # chi (into a fresh list, so the caller's lanes are never written)
-        a = [bi ^ (~b[j] & b[k]) for bi, (j, k) in zip(b, _CHI_NEIGHBOURS)]
-        # iota
-        a[0] ^= rc
-    return a
+        # theta
+        c0 = a0 ^ a5 ^ a10 ^ a15 ^ a20
+        c1 = a1 ^ a6 ^ a11 ^ a16 ^ a21
+        c2 = a2 ^ a7 ^ a12 ^ a17 ^ a22
+        c3 = a3 ^ a8 ^ a13 ^ a18 ^ a23
+        c4 = a4 ^ a9 ^ a14 ^ a19 ^ a24
+        d0 = c4 ^ (((c1 << 1) | (c1 >> 63)) & _MASK64)
+        d1 = c0 ^ (((c2 << 1) | (c2 >> 63)) & _MASK64)
+        d2 = c1 ^ (((c3 << 1) | (c3 >> 63)) & _MASK64)
+        d3 = c2 ^ (((c4 << 1) | (c4 >> 63)) & _MASK64)
+        d4 = c3 ^ (((c0 << 1) | (c0 >> 63)) & _MASK64)
+        # rho + pi: b[dest] = rotl(a[src] ^ d[src % 5], rho[src])
+        b0 = a0 ^ d0
+        v = a6 ^ d1
+        b1 = ((v << 44) | (v >> 20)) & _MASK64
+        v = a12 ^ d2
+        b2 = ((v << 43) | (v >> 21)) & _MASK64
+        v = a18 ^ d3
+        b3 = ((v << 21) | (v >> 43)) & _MASK64
+        v = a24 ^ d4
+        b4 = ((v << 14) | (v >> 50)) & _MASK64
+        v = a3 ^ d3
+        b5 = ((v << 28) | (v >> 36)) & _MASK64
+        v = a9 ^ d4
+        b6 = ((v << 20) | (v >> 44)) & _MASK64
+        v = a10 ^ d0
+        b7 = ((v << 3) | (v >> 61)) & _MASK64
+        v = a16 ^ d1
+        b8 = ((v << 45) | (v >> 19)) & _MASK64
+        v = a22 ^ d2
+        b9 = ((v << 61) | (v >> 3)) & _MASK64
+        v = a1 ^ d1
+        b10 = ((v << 1) | (v >> 63)) & _MASK64
+        v = a7 ^ d2
+        b11 = ((v << 6) | (v >> 58)) & _MASK64
+        v = a13 ^ d3
+        b12 = ((v << 25) | (v >> 39)) & _MASK64
+        v = a19 ^ d4
+        b13 = ((v << 8) | (v >> 56)) & _MASK64
+        v = a20 ^ d0
+        b14 = ((v << 18) | (v >> 46)) & _MASK64
+        v = a4 ^ d4
+        b15 = ((v << 27) | (v >> 37)) & _MASK64
+        v = a5 ^ d0
+        b16 = ((v << 36) | (v >> 28)) & _MASK64
+        v = a11 ^ d1
+        b17 = ((v << 10) | (v >> 54)) & _MASK64
+        v = a17 ^ d2
+        b18 = ((v << 15) | (v >> 49)) & _MASK64
+        v = a23 ^ d3
+        b19 = ((v << 56) | (v >> 8)) & _MASK64
+        v = a2 ^ d2
+        b20 = ((v << 62) | (v >> 2)) & _MASK64
+        v = a8 ^ d3
+        b21 = ((v << 55) | (v >> 9)) & _MASK64
+        v = a14 ^ d4
+        b22 = ((v << 39) | (v >> 25)) & _MASK64
+        v = a15 ^ d0
+        b23 = ((v << 41) | (v >> 23)) & _MASK64
+        v = a21 ^ d1
+        b24 = ((v << 2) | (v >> 62)) & _MASK64
+        # chi, then iota on lane 0
+        a0 = b0 ^ ((b1 | b2) ^ b1) ^ rc
+        a1 = b1 ^ ((b2 | b3) ^ b2)
+        a2 = b2 ^ ((b3 | b4) ^ b3)
+        a3 = b3 ^ ((b4 | b0) ^ b4)
+        a4 = b4 ^ ((b0 | b1) ^ b0)
+        a5 = b5 ^ ((b6 | b7) ^ b6)
+        a6 = b6 ^ ((b7 | b8) ^ b7)
+        a7 = b7 ^ ((b8 | b9) ^ b8)
+        a8 = b8 ^ ((b9 | b5) ^ b9)
+        a9 = b9 ^ ((b5 | b6) ^ b5)
+        a10 = b10 ^ ((b11 | b12) ^ b11)
+        a11 = b11 ^ ((b12 | b13) ^ b12)
+        a12 = b12 ^ ((b13 | b14) ^ b13)
+        a13 = b13 ^ ((b14 | b10) ^ b14)
+        a14 = b14 ^ ((b10 | b11) ^ b10)
+        a15 = b15 ^ ((b16 | b17) ^ b16)
+        a16 = b16 ^ ((b17 | b18) ^ b17)
+        a17 = b17 ^ ((b18 | b19) ^ b18)
+        a18 = b18 ^ ((b19 | b15) ^ b19)
+        a19 = b19 ^ ((b15 | b16) ^ b15)
+        a20 = b20 ^ ((b21 | b22) ^ b21)
+        a21 = b21 ^ ((b22 | b23) ^ b22)
+        a22 = b22 ^ ((b23 | b24) ^ b23)
+        a23 = b23 ^ ((b24 | b20) ^ b24)
+        a24 = b24 ^ ((b20 | b21) ^ b20)
+    return [a0, a1, a2, a3, a4,
+            a5, a6, a7, a8, a9,
+            a10, a11, a12, a13, a14,
+            a15, a16, a17, a18, a19,
+            a20, a21, a22, a23, a24]
 
 
 class KeccakSponge:

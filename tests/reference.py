@@ -4,6 +4,9 @@ The AES-128 here is pure Python with the S-box built from the GF(2^8)
 inverse and affine transform rather than a transcribed table, so it shares
 no code or data with the OpenSSL-backed production path. Slow, but only
 used as a cross-check oracle.
+
+The Keccak-f[1600] here is the loop form of the permutation, with the round
+constants computed from FIPS 202's LFSR rather than copied from the package.
 """
 
 
@@ -128,3 +131,56 @@ def cmac_reference(key, msg):
     for block in blocks:
         chain = aes128_encrypt_block(key, bytes(a ^ b for a, b in zip(chain, block)))
     return chain
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def _rc_bit(t):
+    # FIPS 202 Algorithm 5: bit t of the LFSR x^8 + x^6 + x^5 + x^4 + 1
+    r = 1
+    for _ in range(t % 255):
+        r <<= 1
+        if r & 0x100:
+            r ^= 0x171
+    return r & 1
+
+
+# Iota: round ir sets lane bits 2^j - 1 from rc(j + 7*ir) (FIPS 202 Algorithm 6).
+_ROUND_CONSTANTS = tuple(sum(_rc_bit(j + 7 * ir) << (2 ** j - 1) for j in range(7))
+                         for ir in range(24))
+
+# Rho rotation offsets, flat index x + 5*y.
+_ROTATIONS = (
+    0, 1, 62, 28, 27,
+    36, 44, 6, 55, 20,
+    3, 10, 43, 25, 39,
+    41, 45, 15, 21, 8,
+    18, 2, 61, 56, 14,
+)
+
+# Pi: lane x + 5*y moves to y + 5*((2x + 3y) % 5).
+_PI_DEST = tuple(y + 5 * ((2 * x + 3 * y) % 5) for y in range(5) for x in range(5))
+
+# Chi: lane x + 5*y combines with lanes (x+1, y) and (x+2, y).
+_CHI_NEIGHBOURS = tuple(((x + 1) % 5 + 5 * y, (x + 2) % 5 + 5 * y)
+                        for y in range(5) for x in range(5))
+
+
+def keccak_f1600_reference(lanes):
+    """Keccak-f[1600] over 25 64-bit lanes at flat index x + 5*y (new list returned)."""
+    a = lanes
+    b = [0] * 25
+    for rc in _ROUND_CONSTANTS:
+        # theta: c[x - 1] and c[x - 4] are the columns left and right of x.
+        c = [a[x] ^ a[x + 5] ^ a[x + 10] ^ a[x + 15] ^ a[x + 20] for x in range(5)]
+        d = [c[x - 1] ^ (((c[x - 4] << 1) | (c[x - 4] >> 63)) & _MASK64) for x in range(5)]
+        # theta applied per lane, then rho + pi
+        for v, dx, dest, r in zip(a, d * 5, _PI_DEST, _ROTATIONS):
+            v ^= dx
+            b[dest] = ((v << r) | (v >> (64 - r))) & _MASK64
+        # chi (into a fresh list, so the caller's lanes are never written)
+        a = [bi ^ (~b[j] & b[k]) for bi, (j, k) in zip(b, _CHI_NEIGHBOURS)]
+        # iota
+        a[0] ^= rc
+    return a

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from kdfkit import vectors
 from kdfkit.kdf import kmac_kdf
 from kdfkit.kmac import (
     bytepad,
@@ -17,6 +18,7 @@ from kdfkit.kmac import (
     right_encode,
 )
 from kdfkit.primitives import RATE_128, RATE_256
+from openssl_kmac import load, openssl_kmac
 
 SAMPLE_KEY = bytes(range(0x40, 0x60))
 LONG_MSG = bytes(range(200))
@@ -135,3 +137,43 @@ class TestKmac:
             kmac256(SAMPLE_KEY, b"m", bits)
         with pytest.raises(ValueError):
             kmac_kdf(SAMPLE_KEY, b"m", bits)
+
+
+# Key lengths around OpenSSL's 4-byte minimum, each rate, and the length at which
+# bytepad(encode_string(key)) just fills one block (5 framing bytes: 131 B at
+# rate 136, 163 B at rate 168).
+ORACLE_KEY_LENS = (4, 5, 32, 131, 132, 135, 136, 137, 163, 164, 167, 168, 169)
+
+
+class TestOpensslOracle:
+    @pytest.fixture(scope="class", autouse=True)
+    def _needs_openssl(self):
+        _, reason = load()
+        if reason is not None:
+            pytest.skip(reason)
+
+    @pytest.mark.parametrize("name, bits, call", [
+        ("kmac128", 128, lambda key, msg, out_len, s: kmac128(key, msg, 8 * out_len, s)),
+        ("kmac256", 256, lambda key, msg, out_len, s: kmac256(key, msg, 8 * out_len, s)),
+        ("kmac_kdf", 128, lambda key, msg, out_len, s: kmac_kdf(key, msg, 8 * out_len)),
+    ])
+    def test_random_cases_match(self, name, bits, call):
+        rng = random.Random(name)
+        for n in range(150):
+            key = rng.randbytes(ORACLE_KEY_LENS[n % len(ORACLE_KEY_LENS)])
+            msg = rng.randbytes(rng.randrange(401))
+            out_len = rng.randrange(1, 501)
+            custom = b"KDF" if name == "kmac_kdf" else rng.randbytes(rng.choice((0, 3, 20)))
+            expected = openssl_kmac(bits, key, msg, out_len, custom)
+            assert call(key, msg, out_len, custom) == expected, (len(key), len(msg), out_len)
+
+    def test_bundled_kmac_vectors_match(self):
+        # Every bundled KMAC expectation is confirmed by OpenSSL, not only by kdfkit.
+        cases = [case for case in vectors.load_vector_file(vectors.bundled_vector_path())
+                 if case.construction in ("kmac128", "kmac256")]
+        assert {case.construction for case in cases} == {"kmac128", "kmac256"}
+        for case in cases:
+            bits = 128 if case.construction == "kmac128" else 256
+            got = openssl_kmac(bits, case.key, case.msg, case.params["L"] // 8,
+                               bytes.fromhex(case.params["S"]))
+            assert got == case.expect, case.id

@@ -14,7 +14,7 @@ from kdfkit.primitives import (
     sha256,
     sponge_absorb_squeeze,
 )
-from reference import aes128_encrypt_block
+from reference import aes128_encrypt_block, keccak_f1600_reference
 
 
 class TestAes:
@@ -155,6 +155,17 @@ class TestSponge:
         out = keccak_f1600(lanes)
         assert lanes == list(range(25))
         assert out is not lanes and out != lanes
+
+    def test_permutation_matches_reference(self):
+        # The straight-line production body against the loop form, lane for lane.
+        rng = random.Random(1600)
+        states = [[0] * 25, [(1 << 64) - 1] * 25]
+        states += [[rng.getrandbits(64) for _ in range(25)] for _ in range(200)]
+        for lanes in states:
+            assert keccak_f1600(lanes) == keccak_f1600_reference(lanes), lanes
+        # Known answer from the Keccak team's KeccakF-1600 intermediate values:
+        # lane 0 after one permutation of the zero state.
+        assert keccak_f1600([0] * 25)[0] == 0xF1258F7940E1DDE7
 
     def test_single_owner_lifecycle(self):
         sponge = KeccakSponge(168)

@@ -34,6 +34,8 @@ class TestBundledFile:
             "rfc4493-example-3", "rfc4493-example-4",
             "sp800-185-cshake128-sample-1",
             "sp800-185-kmac128-sample-1", "sp800-185-kmac128-sample-2",
+            "sp800-185-kmac256-sample-4", "sp800-185-kmac256-sample-5",
+            "sp800-185-kmac256-sample-6",
         }
         assert required <= ids
 
@@ -80,11 +82,12 @@ KEY16 = bytes(range(16))
 KMAC_KEY = bytes(range(0x40, 0x60))
 MSG = bytes(range(0x20, 0x45))
 
-# One case per construction the bundled file does not reach. The kmac256 and
-# kmac_kdf expectations come from kdfkit itself, so they pin only the runner's
-# dispatch and its bit unit for L; their independent oracle is the OpenSSL
-# EVP_MAC binding of ROADMAP direction 4. The IEEE encryption pad (U = 2) is
-# still unconfirmed, so only U = 1 is checked.
+# One case per construction without a bundled vector, and one kmac256 case at
+# an L (392) and S ("KMAC") that its bundled SP 800-185 samples 4-6 lack. The
+# kmac256 and kmac_kdf expectations come from kdfkit itself, so they pin only the
+# runner's dispatch and its bit unit for L; test_kmac.TestOpensslOracle checks
+# both constructions against OpenSSL. The IEEE encryption pad (U = 2) is still
+# unconfirmed, so only U = 1 is checked.
 UNBUNDLED_CASES = [
     ("kmac256", KMAC_KEY, MSG, {"L": 392, "S": "4b4d4143"},
      lambda: kmac.kmac256(KMAC_KEY, MSG, 392, b"KMAC")),
