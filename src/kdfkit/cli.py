@@ -167,8 +167,12 @@ def _cmd_bench(args) -> int:
               f"{stats.median_ms:>10.6f} {stats.stddev_ms:>10.6f}")
     for warning in bench_mod.ordering_warnings({t.kind: s for t, s in results}):
         print(warning)
-    with open(out_path, "wb") as handle:
-        handle.write(bench_mod.export_results(results, args.format))
+    try:
+        with open(out_path, "wb") as handle:
+            handle.write(bench_mod.export_results(results, args.format))
+    except OSError as exc:
+        print(f"error: cannot write {out_path}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     print(f"results written to {out_path} "
           f"(iterations={args.iterations}, warmup={args.warmup}, seed={args.seed})")
     return EXIT_OK

@@ -33,33 +33,22 @@ def derive_subkeys(key: bytes) -> tuple:
     return _subkeys(AesBlockCipher(key))
 
 
-def _xor(a: bytes, b: bytes) -> bytes:
-    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(AES_BLOCK_LEN, "big")
-
-
-def split_and_pad(msg: bytes, k1: bytes, k2: bytes) -> list:
-    """Cut ``msg`` into blocks and mask the final one.
-
-    A complete final block is XORed with K1; a short (or empty) final block
-    gets one 0x80 byte, zero fill to 16 bytes, and an XOR with K2. The empty
-    message yields the single block (80 00..00) ^ K2.
-    """
-    complete = len(msg) > 0 and len(msg) % AES_BLOCK_LEN == 0
-    n_full = len(msg) // AES_BLOCK_LEN if complete else len(msg) // AES_BLOCK_LEN + 1
-    blocks = [msg[i * AES_BLOCK_LEN:(i + 1) * AES_BLOCK_LEN] for i in range(n_full - 1)]
-    last = msg[(n_full - 1) * AES_BLOCK_LEN:]
-    if complete:
-        blocks.append(_xor(last, k1))
-    else:
-        padded = last + b"\x80" + bytes(AES_BLOCK_LEN - len(last) - 1)
-        blocks.append(_xor(padded, k2))
-    return blocks
-
-
 def cmac(key: bytes, msg: bytes) -> bytes:
     """AES-CMAC tag of ``msg`` under a 16-byte ``key``; always 16 bytes."""
     cipher = AesBlockCipher(key)
-    chain = bytes(AES_BLOCK_LEN)
-    for block in split_and_pad(msg, *_subkeys(cipher)):
-        chain = cipher.encrypt_block(_xor(chain, block))
-    return chain
+    k1, k2 = _subkeys(cipher)
+    # Every block before the last chains unmasked. A complete last block is
+    # masked with K1; a short or empty one gets 0x80, zero fill and K2.
+    last = max(len(msg) - 1, 0) // AES_BLOCK_LEN * AES_BLOCK_LEN
+    chain = 0
+    for start in range(0, last, AES_BLOCK_LEN):
+        block = chain ^ int.from_bytes(msg[start:start + AES_BLOCK_LEN], "big")
+        chain = int.from_bytes(cipher.encrypt_block(block.to_bytes(AES_BLOCK_LEN, "big")), "big")
+    tail = msg[last:]
+    if len(tail) == AES_BLOCK_LEN:
+        mask = k1
+    else:
+        tail += b"\x80" + bytes(AES_BLOCK_LEN - len(tail) - 1)
+        mask = k2
+    block = chain ^ int.from_bytes(tail, "big") ^ int.from_bytes(mask, "big")
+    return cipher.encrypt_block(block.to_bytes(AES_BLOCK_LEN, "big"))

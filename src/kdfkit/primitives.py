@@ -54,11 +54,6 @@ class AesBlockCipher:
         return self._encryptor.update(block)
 
 
-def aes_encrypt_block(key: bytes, plaintext: bytes) -> bytes:
-    """AES-128 forward cipher of a single 16-byte block."""
-    return AesBlockCipher(key).encrypt_block(plaintext)
-
-
 # ---------------------------------------------------------------------------
 # Keccak-f[1600] permutation (FIPS 202, section 3). State is 25 64-bit lanes,
 # lane (x, y) stored little-endian at flat index x + 5*y.

@@ -1,6 +1,7 @@
 """CLI contract: hex in/out, exit codes, selftest report, bench orchestration."""
 
 import json
+import os
 
 import pytest
 
@@ -262,3 +263,13 @@ class TestBench:
         code, _, err = run_cli(capsys, "bench", "--out", str(tmp_path / "no/dir/x.csv"))
         assert code == 2
         assert "cannot write" in err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+    def test_failed_final_write_exits_2(self, capsys):
+        # /dev/full opens fine, so the pre-timing check passes and the write
+        # after timing is what fails (ENOSPC).
+        code, out, err = run_cli(capsys, "bench", "--targets", "macs", "--iterations", "1",
+                                 "--warmup", "0", "--out", "/dev/full")
+        assert code == 2
+        assert "error: cannot write /dev/full" in err
+        assert "results written" not in out

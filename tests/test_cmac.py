@@ -6,7 +6,7 @@ import pytest
 from cryptography.hazmat.primitives.ciphers.algorithms import AES
 from cryptography.hazmat.primitives.cmac import CMAC as LibCmac
 
-from kdfkit.cmac import cmac, dbl, derive_subkeys, split_and_pad
+from kdfkit.cmac import cmac, dbl, derive_subkeys
 from reference import cmac_reference
 
 RFC4493_KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
@@ -19,10 +19,6 @@ RFC4493_EXAMPLES = [
     (40, "dfa66747de9ae63030ca32611497c827"),
     (64, "51f0bebf7e3b9d92fc49741779363cfe"),
 ]
-
-
-def _xor(a, b):
-    return bytes(x ^ y for x, y in zip(a, b))
 
 
 class TestDbl:
@@ -45,41 +41,6 @@ class TestDbl:
     def test_requires_full_block(self):
         with pytest.raises(ValueError):
             dbl(bytes(15))
-
-
-class TestSplitAndPad:
-    # The subkey that masks the final block shows whether it was complete:
-    # K1 for a complete block, K2 for a padded one.
-    @pytest.fixture
-    def subkeys(self):
-        return derive_subkeys(RFC4493_KEY)
-
-    def test_complete_single_block(self, subkeys):
-        k1, k2 = subkeys
-        msg = RFC4493_MSG[:16]
-        blocks = split_and_pad(msg, k1, k2)
-        assert blocks == [_xor(msg, k1)]
-
-    def test_empty_message(self, subkeys):
-        k1, k2 = subkeys
-        blocks = split_and_pad(b"", k1, k2)
-        assert blocks == [_xor(b"\x80" + bytes(15), k2)]
-
-    def test_40_byte_message(self, subkeys):
-        k1, k2 = subkeys
-        msg = RFC4493_MSG[:40]
-        blocks = split_and_pad(msg, k1, k2)
-        assert len(blocks) == 3
-        assert blocks[0] == msg[:16]
-        assert blocks[1] == msg[16:32]
-        padded_tail = msg[32:] + b"\x80" + bytes(7)
-        assert blocks[2] == _xor(padded_tail, k2)
-
-    def test_block_sizes(self, subkeys):
-        for length in range(0, 70):
-            blocks = split_and_pad(bytes(length), *subkeys)
-            assert all(len(block) == 16 for block in blocks)
-            assert len(blocks) == max(1, -(-length // 16))
 
 
 class TestCmac:

@@ -4,7 +4,7 @@ import random
 
 import pytest
 from cryptography.hazmat.primitives import hashes
-from cryptography.hazmat.primitives.ciphers import algorithms
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from cryptography.hazmat.primitives.kdf.kbkdf import (
     KBKDFCMAC,
     KBKDFHMAC,
@@ -201,6 +201,21 @@ class TestIeeeKdf:
             encrypted = aes128_encrypt_block(KEY, block_input)
             expect = bytes(a ^ b for a, b in zip(encrypted, block_input))
             assert out[16 * (i - 1):16 * i] == expect
+
+    @pytest.mark.parametrize("purpose", [PURPOSE_SIGNING, PURPOSE_ENCRYPTION])
+    def test_matches_library_aes_ecb(self, purpose):
+        # The counter blocks are built by concatenation, pad || i || j || [1..3]_32,
+        # so maximal indices also check that the 128-bit sum never carries.
+        pad = SIGNING_PAD if purpose == PURPOSE_SIGNING else ENCRYPTION_PAD
+        rng = random.Random(1609)
+        indices = [(b"\xff" * 4, b"\xff" * 4), (bytes(4), bytes(4))]
+        indices += [(rng.randbytes(4), rng.randbytes(4)) for _ in range(20)]
+        for i_value, j_value in indices:
+            key = rng.randbytes(16)
+            blocks = b"".join(pad + i_value + j_value + n.to_bytes(4, "big") for n in (1, 2, 3))
+            encrypted = Cipher(algorithms.AES(key), modes.ECB()).encryptor().update(blocks)
+            expect = bytes(a ^ b for a, b in zip(encrypted, blocks))
+            assert ieee_kdf(key, i_value, j_value, purpose) == expect, (i_value, j_value)
 
     @pytest.mark.parametrize("i_len, j_len", [(3, 4), (4, 3), (0, 4), (4, 8)])
     def test_index_lengths_validated(self, i_len, j_len):

@@ -169,11 +169,13 @@ class TestOpensslOracle:
 
     def test_bundled_kmac_vectors_match(self):
         # Every bundled KMAC expectation is confirmed by OpenSSL, not only by kdfkit.
+        # kmac_kdf is KMAC128 with S = "KDF".
+        kinds = ("kmac128", "kmac256", "kmac_kdf")
         cases = [case for case in vectors.load_vector_file(vectors.bundled_vector_path())
-                 if case.construction in ("kmac128", "kmac256")]
-        assert {case.construction for case in cases} == {"kmac128", "kmac256"}
+                 if case.construction in kinds]
+        assert {case.construction for case in cases} == set(kinds)
         for case in cases:
-            bits = 128 if case.construction == "kmac128" else 256
-            got = openssl_kmac(bits, case.key, case.msg, case.params["L"] // 8,
-                               bytes.fromhex(case.params["S"]))
+            bits = 256 if case.construction == "kmac256" else 128
+            custom = b"KDF" if case.construction == "kmac_kdf" else bytes.fromhex(case.params["S"])
+            got = openssl_kmac(bits, case.key, case.msg, case.params["L"] // 8, custom)
             assert got == case.expect, case.id

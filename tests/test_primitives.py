@@ -8,8 +8,8 @@ import pytest
 from kdfkit.primitives import (
     SHA256_BLOCK_LEN,
     SHA256_DIGEST_LEN,
+    AesBlockCipher,
     KeccakSponge,
-    aes_encrypt_block,
     keccak_f1600,
     sha256,
     sponge_absorb_squeeze,
@@ -17,11 +17,15 @@ from kdfkit.primitives import (
 from reference import aes128_encrypt_block, keccak_f1600_reference
 
 
+def _aes(key, block):
+    return AesBlockCipher(key).encrypt_block(block)
+
+
 class TestAes:
     def test_fips197_appendix_c1(self):
         key = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
         pt = bytes.fromhex("00112233445566778899aabbccddeeff")
-        assert aes_encrypt_block(key, pt).hex() == "69c4e0d86a7b0430d8cdb78070b4c55a"
+        assert _aes(key, pt).hex() == "69c4e0d86a7b0430d8cdb78070b4c55a"
 
     @pytest.mark.parametrize("pt_hex, ct_hex", [
         # AESAVS GFSbox vectors, all-zero key
@@ -29,21 +33,21 @@ class TestAes:
         ("9798c4640bad75c7c3227db910174e72", "a9a1631bf4996954ebc093957b234589"),
     ])
     def test_gfsbox(self, pt_hex, ct_hex):
-        assert aes_encrypt_block(bytes(16), bytes.fromhex(pt_hex)).hex() == ct_hex
+        assert _aes(bytes(16), bytes.fromhex(pt_hex)).hex() == ct_hex
 
     def test_deterministic(self):
         key, pt = bytes(range(16)), b"\xab" * 16
-        assert aes_encrypt_block(key, pt) == aes_encrypt_block(key, pt)
+        assert _aes(key, pt) == _aes(key, pt)
 
     def test_matches_independent_implementation(self):
         rng = random.Random(0x5EED)
         for _ in range(100):
             key, pt = rng.randbytes(16), rng.randbytes(16)
-            assert aes_encrypt_block(key, pt) == aes128_encrypt_block(key, pt)
+            assert _aes(key, pt) == aes128_encrypt_block(key, pt)
 
     def test_zero_block_random_key_vs_oracle(self):
         key = random.Random(7).randbytes(16)
-        assert aes_encrypt_block(key, bytes(16)) == aes128_encrypt_block(key, bytes(16))
+        assert _aes(key, bytes(16)) == aes128_encrypt_block(key, bytes(16))
 
     def test_bijection_no_collisions(self):
         rng = random.Random(42)
@@ -51,19 +55,19 @@ class TestAes:
         seen = {}
         for _ in range(1000):
             pt = rng.randbytes(16)
-            ct = aes_encrypt_block(key, pt)
+            ct = _aes(key, pt)
             assert seen.setdefault(ct, pt) == pt  # distinct pt never share a ct
         assert len(seen) >= 999  # allows rng to repeat a plaintext
 
     @pytest.mark.parametrize("key_len", [0, 15, 17, 32])
     def test_bad_key_length(self, key_len):
         with pytest.raises(ValueError):
-            aes_encrypt_block(bytes(key_len), bytes(16))
+            _aes(bytes(key_len), bytes(16))
 
     @pytest.mark.parametrize("block_len", [0, 15, 17])
     def test_bad_block_length(self, block_len):
         with pytest.raises(ValueError):
-            aes_encrypt_block(bytes(16), bytes(block_len))
+            _aes(bytes(16), bytes(block_len))
 
 
 class TestSha256:

@@ -1,0 +1,85 @@
+"""Derandomized property tests: each construction against an independent library.
+
+Lengths are drawn around the block edges where padding and framing change:
+the 64-byte SHA-256 block for HMAC keys, every 16-byte AES block boundary
+for CMAC messages, and the 136- and 168-byte sponge rates for SHAKE and KMAC.
+"""
+
+import hashlib
+import hmac as std_hmac
+import random
+
+import pytest
+from cryptography.hazmat.primitives.ciphers.algorithms import AES
+from cryptography.hazmat.primitives.cmac import CMAC as LibCmac
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kdfkit.cmac import cmac
+from kdfkit.hmac import hmac
+from kdfkit.kmac import cshake, kmac128, kmac256
+from kdfkit.primitives import RATE_128, RATE_256
+from openssl_kmac import load, openssl_kmac
+
+DERANDOMIZED = settings(derandomize=True, deadline=None, max_examples=150)
+
+
+def near(*edges, spread=4):
+    """An integer within ``spread`` of one of ``edges`` (never negative)."""
+    return st.one_of([st.integers(max(0, e - spread), e + spread) for e in edges])
+
+
+def sized_bytes(lengths):
+    """Bytes of a drawn length; the content comes from a drawn seed, so 4-KiB
+    messages cost no more to draw than short ones."""
+    return st.builds(lambda n, seed: random.Random(seed).randbytes(n),
+                     lengths, st.integers(0, 2**32 - 1))
+
+
+class TestHmac:
+    @DERANDOMIZED
+    @given(key=sized_bytes(near(0, 64, 128)), msg=sized_bytes(near(0, 55, 64, 119)))
+    def test_matches_stdlib(self, key, msg):
+        assert hmac(key, msg) == std_hmac.new(key, msg, hashlib.sha256).digest()
+
+
+class TestCmac:
+    @DERANDOMIZED
+    @given(key=sized_bytes(st.just(16)),
+           msg=sized_bytes(st.one_of(st.integers(0, 80), st.integers(4080, 4112))))
+    def test_matches_cryptography(self, key, msg):
+        lib = LibCmac(AES(key))
+        lib.update(msg)
+        assert cmac(key, msg) == lib.finalize()
+
+
+class TestShake:
+    @pytest.mark.parametrize("rate, shake", [(RATE_128, hashlib.shake_128),
+                                             (RATE_256, hashlib.shake_256)],
+                             ids=["shake128", "shake256"])
+    @DERANDOMIZED
+    @given(msg=sized_bytes(near(0, 136, 168, 272, 336)),
+           out_len=near(136, 168, 272))
+    def test_matches_hashlib(self, rate, shake, msg, out_len):
+        # cSHAKE with empty N and S is plain SHAKE.
+        assert cshake(msg, 8 * out_len, b"", b"", rate) == shake(msg).digest(out_len)
+
+
+class TestKmac:
+    @pytest.fixture(scope="class", autouse=True)
+    def _needs_openssl(self):
+        _, reason = load()
+        if reason is not None:
+            pytest.skip(reason)
+
+    @pytest.mark.parametrize("bits, kmac", [(128, kmac128), (256, kmac256)])
+    @settings(DERANDOMIZED, max_examples=60)
+    # OpenSSL refuses KMAC keys shorter than 4 bytes. 131 and 163 B make
+    # bytepad(encode_string(key)) fill one block exactly at rate 136 and 168.
+    @given(key=sized_bytes(near(8, 131, 136, 163, 168)),
+           msg=sized_bytes(near(0, 136, 168)),
+           out_len=st.one_of(st.integers(1, 8), near(136, 168)),
+           custom=sized_bytes(near(0, 20)))
+    def test_matches_openssl(self, bits, kmac, key, msg, out_len, custom):
+        assert kmac(key, msg, 8 * out_len, custom) == \
+            openssl_kmac(bits, key, msg, out_len, custom)

@@ -36,6 +36,9 @@ class TestBundledFile:
             "sp800-185-kmac128-sample-1", "sp800-185-kmac128-sample-2",
             "sp800-185-kmac256-sample-4", "sp800-185-kmac256-sample-5",
             "sp800-185-kmac256-sample-6",
+            "openssl-evp-mac-kmac128-kdf-msg32-l384",
+            "openssl-evp-mac-kmac128-kdf-msg200-l384",
+            "openssl-evp-mac-kmac128-kdf-msg200-l1600",
         }
         assert required <= ids
 
@@ -82,12 +85,13 @@ KEY16 = bytes(range(16))
 KMAC_KEY = bytes(range(0x40, 0x60))
 MSG = bytes(range(0x20, 0x45))
 
-# One case per construction without a bundled vector, and one kmac256 case at
-# an L (392) and S ("KMAC") that its bundled SP 800-185 samples 4-6 lack. The
-# kmac256 and kmac_kdf expectations come from kdfkit itself, so they pin only the
-# runner's dispatch and its bit unit for L; test_kmac.TestOpensslOracle checks
-# both constructions against OpenSSL. The IEEE encryption pad (U = 2) is still
-# unconfirmed, so only U = 1 is checked.
+# One case per construction without a published vector, one kmac256 case at
+# an L (392) and S ("KMAC") that its bundled SP 800-185 samples 4-6 lack, and
+# one kmac_kdf case at a message length (37 B) its bundled OpenSSL-confirmed
+# cases lack. The kmac256 and kmac_kdf expectations come from kdfkit itself, so they
+# pin only the runner's dispatch and its bit unit for L;
+# test_kmac.TestOpensslOracle checks both constructions against OpenSSL. The
+# IEEE encryption pad (U = 2) is still unconfirmed, so only U = 1 is checked.
 UNBUNDLED_CASES = [
     ("kmac256", KMAC_KEY, MSG, {"L": 392, "S": "4b4d4143"},
      lambda: kmac.kmac256(KMAC_KEY, MSG, 392, b"KMAC")),
