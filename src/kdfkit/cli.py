@@ -6,7 +6,10 @@ Exit codes are stable for scripting: 0 success, 1 self-test failure,
 """
 
 import argparse
+import os
 import sys
+
+import cryptography
 
 from . import bench as bench_mod
 from . import vectors
@@ -159,6 +162,18 @@ def _cmd_bench(args) -> int:
     except OSError as exc:
         print(f"error: cannot write {out_path}: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    # Imported here: at module level they would add ~19 ms to `import kdfkit.cli`.
+    import platform
+    import ssl
+
+    from cryptography.hazmat.backends.openssl.backend import backend
+
+    # AES runs in cryptography's bundled OpenSSL, SHA-256 in hashlib's libcrypto.
+    print(f"meta python={platform.python_implementation()} {platform.python_version()}; "
+          f"cryptography={cryptography.__version__}; "
+          f"aes_openssl={backend.openssl_version_text()}; "
+          f"sha256_openssl={ssl.OPENSSL_VERSION}; cpus={os.cpu_count()}; "
+          f"seed={args.seed}; iterations={args.iterations}; warmup={args.warmup}")
     results = bench_mod.run_table(targets, args.iterations, args.warmup, args.seed)
     header = f"{'target':<10} {'mean_ms':>10} {'median_ms':>10} {'stddev_ms':>10}"
     print(header)

@@ -8,29 +8,32 @@ blocks are folded through a CBC-style chain whose last ciphertext is the tag.
 
 from .primitives import AES_BLOCK_LEN, AesBlockCipher
 
-_MSB = 0x80
 _REDUCTION = 0x87  # x^128 + x^7 + x^2 + x + 1
+_MASK128 = (1 << 128) - 1
+
+
+def _dbl(value: int) -> int:
+    """Multiply a 128-bit block, held as an int, by x in GF(2^128)."""
+    shifted = (value << 1) & _MASK128
+    return shifted ^ _REDUCTION if value >> 127 else shifted
 
 
 def dbl(block: bytes) -> bytes:
     """Multiply a 16-byte block by x in GF(2^128)."""
     if len(block) != AES_BLOCK_LEN:
         raise ValueError(f"dbl needs a {AES_BLOCK_LEN}-byte block, got {len(block)}")
-    shifted = (int.from_bytes(block, "big") << 1) & ((1 << 128) - 1)
-    if block[0] & _MSB:
-        shifted ^= _REDUCTION
-    return shifted.to_bytes(16, "big")
+    return _dbl(int.from_bytes(block, "big")).to_bytes(AES_BLOCK_LEN, "big")
 
 
 def _subkeys(cipher: AesBlockCipher) -> tuple:
-    """(K1, K2) for the key ``cipher`` was set up with."""
-    k1 = dbl(cipher.encrypt_block(bytes(AES_BLOCK_LEN)))
-    return k1, dbl(k1)
+    """(K1, K2) as 128-bit ints for the key ``cipher`` was set up with."""
+    k1 = _dbl(int.from_bytes(cipher.encrypt_block(bytes(AES_BLOCK_LEN)), "big"))
+    return k1, _dbl(k1)
 
 
 def derive_subkeys(key: bytes) -> tuple:
-    """K1 = dbl(AES(key, 0^128)), K2 = dbl(K1), as the pair (K1, K2)."""
-    return _subkeys(AesBlockCipher(key))
+    """K1 = dbl(AES(key, 0^128)), K2 = dbl(K1), as the pair of 16-byte blocks (K1, K2)."""
+    return tuple(k.to_bytes(AES_BLOCK_LEN, "big") for k in _subkeys(AesBlockCipher(key)))
 
 
 def cmac(key: bytes, msg: bytes) -> bytes:
@@ -50,5 +53,5 @@ def cmac(key: bytes, msg: bytes) -> bytes:
     else:
         tail += b"\x80" + bytes(AES_BLOCK_LEN - len(tail) - 1)
         mask = k2
-    block = chain ^ int.from_bytes(tail, "big") ^ int.from_bytes(mask, "big")
+    block = chain ^ int.from_bytes(tail, "big") ^ mask
     return cipher.encrypt_block(block.to_bytes(AES_BLOCK_LEN, "big"))

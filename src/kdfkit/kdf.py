@@ -46,10 +46,11 @@ class PrfChoice(enum.Enum):
     def block_len(self) -> int:
         return self.value
 
-    def __call__(self, key: bytes, msg: bytes) -> bytes:
-        if self is PrfChoice.HMAC_SHA256:
-            return hmac_mod.hmac(key, msg)
-        return cmac_mod.cmac(key, msg)
+    @property
+    def mac(self):
+        """The MAC ``(key, msg) -> tag``, looked up at each access so that a
+        wrapper put on the module attribute is the one called."""
+        return hmac_mod.hmac if self is PrfChoice.HMAC_SHA256 else cmac_mod.cmac
 
 
 def counter_kdf(prf: PrfChoice, key: bytes, msg: bytes, out_len: int) -> bytes:
@@ -64,12 +65,11 @@ def counter_kdf(prf: PrfChoice, key: bytes, msg: bytes, out_len: int) -> bytes:
         length_field = out_len.to_bytes(FIELD_WIDTH, "big")
     except OverflowError:
         raise ValueError(f"output length {out_len} does not fit in {FIELD_WIDTH} bytes") from None
+    mac = prf.mac
+    fixed = KDF_LABEL + b"\x00" + msg + length_field
     n_blocks = -(-out_len // prf.block_len)
-    out = bytearray()
-    for i in range(1, n_blocks + 1):
-        block_input = i.to_bytes(FIELD_WIDTH, "big") + KDF_LABEL + b"\x00" + msg + length_field
-        out += prf(key, block_input)
-    return bytes(out[:out_len])
+    return b"".join(mac(key, i.to_bytes(FIELD_WIDTH, "big") + fixed)
+                    for i in range(1, n_blocks + 1))[:out_len]
 
 
 def kmac_kdf(key: bytes, msg: bytes, out_len_bits: int) -> bytes:

@@ -14,7 +14,9 @@ bit-granular messages are not supported.
 
 import hashlib
 
-from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
+from cryptography.hazmat.primitives.ciphers import Cipher
+from cryptography.hazmat.primitives.ciphers.algorithms import AES
+from cryptography.hazmat.primitives.ciphers.modes import ECB
 
 AES_BLOCK_LEN = 16
 AES_KEY_LEN = 16
@@ -33,6 +35,10 @@ SHAKE_PAD = 0x1F
 CSHAKE_PAD = 0x04
 
 
+# ECB carries no per-key state, so every key setup shares one mode object.
+_ECB = ECB()
+
+
 def sha256(data: bytes) -> bytes:
     """SHA-256 digest of ``data`` (FIPS 180-4)."""
     return hashlib.sha256(data).digest()
@@ -45,8 +51,10 @@ class AesBlockCipher:
         if len(key) != AES_KEY_LEN:
             raise ValueError(f"AES-128 key must be {AES_KEY_LEN} bytes, got {len(key)}")
         # ECB has no chaining state, so one streaming encryptor can serve
-        # any number of independent 16-byte blocks.
-        self._encryptor = Cipher(algorithms.AES(key), modes.ECB()).encryptor()
+        # any number of independent 16-byte blocks. AES and _ECB are bound at
+        # import: a lookup on the ``algorithms`` or ``modes`` module per call
+        # goes through cryptography's deprecation wrapper, ~2 µs each.
+        self._encryptor = Cipher(AES(key), _ECB).encryptor()
 
     def encrypt_block(self, block: bytes) -> bytes:
         if len(block) != AES_BLOCK_LEN:

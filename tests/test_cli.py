@@ -2,8 +2,12 @@
 
 import json
 import os
+import platform
+import ssl
 
+import cryptography
 import pytest
+from cryptography.hazmat.backends.openssl.backend import backend as openssl_backend
 
 from kdfkit import cli, vectors
 from kdfkit.kdf import PURPOSE_SIGNING, ieee_kdf
@@ -212,6 +216,24 @@ class TestBench:
         for kind in ("HMAC", "CMAC", "KMAC", "HMAC_KDF", "CMAC_KDF", "KMAC_KDF",
                      "IEEE_KDF"):
             assert any(row.startswith(kind + ",") for row in rows[1:])
+
+    def test_meta_line_precedes_table(self, capsys, tmp_path):
+        code, out, _ = run_cli(capsys, "bench", "--targets", "macs", "--iterations", "2",
+                               "--warmup", "1", "--seed", "9",
+                               "--out", str(tmp_path / "meta.csv"))
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0].startswith("meta ") and lines[1].startswith("target ")
+        assert sum(line.startswith("meta ") for line in lines) == 1
+        fields = dict(field.split("=", 1) for field in lines[0][len("meta "):].split("; "))
+        assert list(fields) == ["python", "cryptography", "aes_openssl", "sha256_openssl",
+                                "cpus", "seed", "iterations", "warmup"]
+        assert fields["python"].endswith(platform.python_version())
+        assert fields["cryptography"] == cryptography.__version__
+        assert fields["aes_openssl"] == openssl_backend.openssl_version_text()
+        assert fields["sha256_openssl"] == ssl.OPENSSL_VERSION
+        assert fields["cpus"] == str(os.cpu_count())
+        assert (fields["seed"], fields["iterations"], fields["warmup"]) == ("9", "2", "1")
 
     def test_macs_subset(self, capsys, tmp_path):
         out_path = tmp_path / "macs.json"

@@ -118,6 +118,17 @@ class TestCounterKdf:
                 assert out == kbkdf(prf, key, out_len, fixed=fixed), (out_len, msg.hex())
                 assert out != kbkdf(prf, key, out_len, label=b"KDF", context=msg)
 
+    @pytest.mark.parametrize("out_len", [1023, 1024, 1025])
+    @pytest.mark.parametrize("prf", list(PrfChoice))
+    def test_long_output_matches_installed_kbkdf(self, prf, out_len):
+        # Bulk derivation's shape: 32 HMAC or 64 CMAC blocks, and one
+        # byte either side.
+        rng = random.Random(out_len + prf.block_len)
+        key = rng.randbytes(16)
+        msg = rng.randbytes(32)
+        fixed = b"KDF\x00" + msg + out_len.to_bytes(4, "big")
+        assert counter_kdf(prf, key, msg, out_len) == kbkdf(prf, key, out_len, fixed=fixed)
+
     def test_hmac_accepts_any_key_length(self):
         assert len(counter_kdf(PrfChoice.HMAC_SHA256, b"", b"m", 10)) == 10
         assert len(counter_kdf(PrfChoice.HMAC_SHA256, bytes(100), b"m", 10)) == 10

@@ -45,6 +45,16 @@ class TestAes:
             key, pt = rng.randbytes(16), rng.randbytes(16)
             assert _aes(key, pt) == aes128_encrypt_block(key, pt)
 
+    def test_interleaved_keys_vs_oracle(self):
+        # Every cipher shares one ECB mode object; blocks sent round-robin
+        # across live ciphers show that no key's state leaks into another's.
+        rng = random.Random(0xEC8)
+        keys = [rng.randbytes(16) for _ in range(8)]
+        ciphers = [AesBlockCipher(key) for key in keys]
+        for i in range(64):
+            pt = rng.randbytes(16)
+            assert ciphers[i % 8].encrypt_block(pt) == aes128_encrypt_block(keys[i % 8], pt)
+
     def test_zero_block_random_key_vs_oracle(self):
         key = random.Random(7).randbytes(16)
         assert _aes(key, bytes(16)) == aes128_encrypt_block(key, bytes(16))
