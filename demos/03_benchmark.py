@@ -24,13 +24,13 @@ results = bench.run_table(bench.default_targets(seed=SEED), ITERATIONS, warmup=2
 header = f"{'target':<10} {'mean':>10} {'median':>10} {'stddev':>10} {'q1':>10} {'q3':>10}"
 print(header)
 print("-" * len(header))
-for target, stats in results:
+for target, _, stats in results:
     print(f"{target.kind.value:<10} {stats.mean_ms:>10.6f} {stats.median_ms:>10.6f} "
           f"{stats.stddev_ms:>10.6f} {stats.q1_ms:>10.6f} {stats.q3_ms:>10.6f}")
 print("(all values in milliseconds)")
 print()
 
-warnings = bench.ordering_warnings({t.kind: s for t, s in results})
+warnings = bench.ordering_warnings({t.kind: s for t, _, s in results})
 if warnings:
     print("ordering checks against the expected cost ranking:")
     for line in warnings:
@@ -39,13 +39,13 @@ else:
     print("ordering checks: all expectations held on this machine")
 print()
 
-# Same seed, same inputs -- only the timings differ between runs.
+# Same seed, same inputs and outputs -- only the timings differ between runs.
+_, first_run, _ = results[0]
 replay = bench.run_bench(bench.default_targets(seed=SEED)[0],
                          iterations=ITERATIONS, warmup=20, seed=SEED)
-assert replay.inputs_digest == bench.run_bench(
-    bench.default_targets(seed=SEED)[0],
-    iterations=ITERATIONS, warmup=20, seed=SEED).inputs_digest
-print("seeded replay produces identical input streams: OK")
+assert (replay.inputs_digest, replay.output_checksum) == (
+    first_run.inputs_digest, first_run.output_checksum)
+print("seeded replay reproduces the input digest and output checksum: OK")
 print()
 
 csv_payload = bench.export_results(results, "csv")

@@ -21,7 +21,7 @@ import json
 import random
 import statistics
 import time
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from .cmac import cmac
 from .hmac import hmac
@@ -52,8 +52,7 @@ KDF_KINDS = (TargetKind.HMAC_KDF, TargetKind.CMAC_KDF, TargetKind.KMAC_KDF,
              TargetKind.IEEE_KDF)
 
 
-@dataclass(frozen=True)
-class BenchTarget:
+class BenchTarget(NamedTuple):
     """One timed construction: key is fixed, inputs vary per iteration."""
 
     kind: TargetKind
@@ -70,15 +69,13 @@ class BenchTarget:
         return None if self.kind in MAC_KINDS else IEEE_OUTPUT_LEN
 
 
-@dataclass(frozen=True)
-class TimingSampleSet:
+class TimingSampleSet(NamedTuple):
     samples_ns: tuple
     inputs_digest: str  # sha256 over the generated input stream, for replay checks
     output_checksum: int
 
 
-@dataclass(frozen=True)
-class BenchStats:
+class BenchStats(NamedTuple):
     mean_ms: float
     median_ms: float
     stddev_ms: float
@@ -89,7 +86,7 @@ class BenchStats:
 
 
 # Exported after the three target columns, in field order.
-_STAT_NAMES = tuple(f.name for f in fields(BenchStats))
+_STAT_NAMES = BenchStats._fields
 CSV_COLUMNS = ("target", "msg_len", "out_len", *_STAT_NAMES)
 
 
@@ -145,9 +142,13 @@ def run_bench(target: BenchTarget, iterations: int = DEFAULT_ITERATIONS,
 
 
 def run_table(targets, iterations: int, warmup: int, seed: int) -> list:
-    """(target, stats) per target; each is timed to completion before the next starts."""
-    return [(target, summarize(run_bench(target, iterations, warmup, seed)))
-            for target in targets]
+    """(target, sample set, stats) per target; each is timed to completion
+    before the next starts."""
+    results = []
+    for target in targets:
+        sample_set = run_bench(target, iterations, warmup, seed)
+        results.append((target, sample_set, summarize(sample_set)))
+    return results
 
 
 def summarize(sample_set: TimingSampleSet) -> BenchStats:
@@ -169,25 +170,29 @@ def summarize(sample_set: TimingSampleSet) -> BenchStats:
     )
 
 
-def _stat_record(target: BenchTarget, stats: BenchStats) -> dict:
+def _stat_record(target: BenchTarget, sample_set: TimingSampleSet, stats: BenchStats) -> dict:
     return {
         "target": target.kind.value,
         "msg_len": target.msg_len,
         "out_len": target.out_len,
         **{name: round(getattr(stats, name), 6) for name in _STAT_NAMES},
+        "inputs_digest": sample_set.inputs_digest,
+        "output_checksum": sample_set.output_checksum,
     }
 
 
 def export_results(results: list, fmt: str) -> bytes:
-    """Serialize (BenchTarget, BenchStats) pairs as CSV or JSON.
+    """Serialize ``run_table``'s (BenchTarget, TimingSampleSet, BenchStats)
+    triples as CSV or JSON.
 
     CSV columns follow ``CSV_COLUMNS``; all statistics are milliseconds with
     six decimal places. MAC targets leave ``out_len`` empty (CSV) or null
-    (JSON).
+    (JSON). Each JSON record also carries the run's ``inputs_digest`` and
+    ``output_checksum``, so a result can be replayed and checked.
     """
     if not results:
         raise ValueError("no results to export")
-    records = [_stat_record(target, stats) for target, stats in results]
+    records = [_stat_record(*result) for result in results]
     if fmt == "json":
         return (json.dumps(records, indent=2) + "\n").encode()
     if fmt == "csv":

@@ -22,9 +22,11 @@ Hex is case-insensitive on input; all output is lowercase. The bundled file
 """
 
 import json
-from dataclasses import dataclass, field
+from collections.abc import Mapping
 from importlib import resources
 from pathlib import Path
+from types import MappingProxyType
+from typing import NamedTuple
 
 from . import cmac as cmac_mod
 from . import hmac as hmac_mod
@@ -35,18 +37,18 @@ from .primitives import RATE_128, AesBlockCipher, sha256
 BUNDLED_VECTOR_FILE = "standard_vectors.json"
 
 
-@dataclass(frozen=True)
-class VectorCase:
+class VectorCase(NamedTuple):
     id: str
     construction: str
     key: bytes
     msg: bytes
     expect: bytes
-    params: dict = field(default_factory=dict)
+    # A NamedTuple default is one object shared by every instance, so it must
+    # be read-only; parse_cases passes each case's own parsed dict.
+    params: Mapping = MappingProxyType({})
 
 
-@dataclass(frozen=True)
-class CaseResult:
+class CaseResult(NamedTuple):
     case: VectorCase
     passed: bool
     got: bytes

@@ -148,10 +148,10 @@ def test_criterion_4_benchmark_shape():
         assert stats.median_ms <= stats.q3_ms <= stats.max_ms
         assert stats.min_ms <= stats.mean_ms <= stats.max_ms
         assert stats.stddev_ms >= 0
-        results.append((target, stats))
+        results.append((target, samples, stats))
         stats_by_kind[target.kind] = stats
 
-    assert [t.kind for t, _ in results] == [
+    assert [t.kind for t, _, _ in results] == [
         TargetKind.HMAC, TargetKind.CMAC, TargetKind.KMAC,
         TargetKind.HMAC_KDF, TargetKind.CMAC_KDF, TargetKind.KMAC_KDF,
         TargetKind.IEEE_KDF]

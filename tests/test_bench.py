@@ -18,6 +18,7 @@ from kdfkit.bench import (
     export_results,
     ordering_warnings,
     run_bench,
+    run_table,
     summarize,
 )
 
@@ -65,6 +66,17 @@ class TestRunBench:
         }
         with pytest.raises(TypeError):
             BenchTarget(kind=TargetKind.HMAC, key=b"k" * 16, out_len=48)
+
+    def test_records_are_immutable_and_hashable(self):
+        target = default_targets(seed=0)[0]
+        assert hash(target) == hash(BenchTarget(kind=target.kind, key=target.key))
+        for name in ("kind", "key", "msg_len", "out_len"):
+            with pytest.raises(AttributeError):
+                setattr(target, name, None)
+        stats = summarize(sample_set([1, 2]))
+        with pytest.raises(AttributeError):
+            stats.mean_ms = 0.0
+        assert {stats: 1}[stats] == 1
 
     def test_parameter_validation(self):
         target = default_targets(seed=0)[0]
@@ -132,9 +144,10 @@ class TestExport:
     def results(self):
         stats = BenchStats(mean_ms=0.0123456789, median_ms=0.01, stddev_ms=0.002,
                            q1_ms=0.009, q3_ms=0.011, min_ms=0.008, max_ms=0.09)
+        run = TimingSampleSet(samples_ns=(1,), inputs_digest="ab" * 32, output_checksum=7)
         return [
-            (BenchTarget(kind=TargetKind.HMAC, key=b"k" * 16), stats),
-            (BenchTarget(kind=TargetKind.IEEE_KDF, key=b"k" * 16), stats),
+            (BenchTarget(kind=TargetKind.HMAC, key=b"k" * 16), run, stats),
+            (BenchTarget(kind=TargetKind.IEEE_KDF, key=b"k" * 16), run, stats),
         ]
 
     def test_csv_shape(self, results):
@@ -154,10 +167,23 @@ class TestExport:
         assert parsed[0]["out_len"] is None
         assert parsed[1]["msg_len"] == 8
         assert parsed[1]["out_len"] == 48
-        assert parsed[0]["mean_ms"] == round(results[0][1].mean_ms, 6)
+        assert parsed[0]["mean_ms"] == round(results[0][2].mean_ms, 6)
+        assert list(parsed[0]) == [*CSV_COLUMNS, "inputs_digest", "output_checksum"]
+        assert (parsed[0]["inputs_digest"], parsed[0]["output_checksum"]) == ("ab" * 32, 7)
         # serialize -> parse -> serialize is a fixed point
         again = json.loads(json.dumps(parsed))
         assert again == parsed
+
+    def test_json_records_replay_run_bench(self):
+        # The digest and checksum in each record are those of a fresh
+        # run_bench of the same target and seed.
+        targets = default_targets(seed=4)
+        records = json.loads(export_results(run_table(targets, 3, 1, 5), "json"))
+        for target, record in zip(targets, records, strict=True):
+            replay = run_bench(target, iterations=3, warmup=1, seed=5)
+            assert record["target"] == target.kind.value
+            assert record["inputs_digest"] == replay.inputs_digest
+            assert record["output_checksum"] == replay.output_checksum
 
     def test_empty_and_bad_format(self, results):
         with pytest.raises(ValueError):

@@ -1,9 +1,14 @@
 """CLI contract: hex in/out, exit codes, selftest report, bench orchestration."""
 
+import csv
+import io
 import json
 import os
 import platform
 import ssl
+import subprocess
+import sys
+from pathlib import Path
 
 import cryptography
 import pytest
@@ -12,6 +17,7 @@ from cryptography.hazmat.backends.openssl.backend import backend as openssl_back
 from kdfkit import cli, vectors
 from kdfkit.kdf import PURPOSE_SIGNING, ieee_kdf
 
+ROOT = Path(__file__).resolve().parents[1]
 CMAC_KEY = "2b7e151628aed2a6abf7158809cf4f3c"
 KMAC_KEY = bytes(range(0x40, 0x60)).hex()
 
@@ -20,6 +26,18 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_import_leaves_heavy_modules_unloaded():
+    # Every fresh `kdfkit` process pays for what `import kdfkit.cli` loads.
+    # dataclasses brings inspect, ast, dis and tokenize; ssl and platform are
+    # needed only by `bench`'s meta line, which imports them itself.
+    heavy = ("dataclasses", "inspect", "ssl", "platform")
+    code = f"import sys, kdfkit.cli; print(*[m for m in {heavy!r} if m in sys.modules])"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert proc.stdout.split() == []
 
 
 class TestMac:
@@ -295,3 +313,30 @@ class TestBench:
         assert code == 2
         assert "error: cannot write /dev/full" in err
         assert "results written" not in out
+
+    def test_closed_stdout_exits_1_after_writing_results(self, capsys, tmp_path,
+                                                         monkeypatch):
+        # As under `kdfkit bench ... | head -1`: the reader takes the meta line
+        # and closes the pipe.
+        class ClosedAfterFirstLine(io.StringIO):
+            def write(self, text):
+                if "\n" in self.getvalue():
+                    raise BrokenPipeError(32, "Broken pipe")
+                return super().write(text)
+
+            def fileno(self):
+                return sink.fileno()
+
+        out_path = tmp_path / "piped.csv"
+        with open(tmp_path / "stdout", "wb") as sink:
+            stdout = ClosedAfterFirstLine()
+            monkeypatch.setattr(sys, "stdout", stdout)
+            code = cli.main(["bench", "--targets", "macs", "--iterations", "3",
+                             "--warmup", "0", "--out", str(out_path)])
+        monkeypatch.undo()
+        assert code == 1
+        assert stdout.getvalue().startswith("meta ")
+        assert capsys.readouterr().err == ""
+        rows = list(csv.reader(out_path.read_text().splitlines()))
+        assert [row[0] for row in rows] == ["target", "HMAC", "CMAC", "KMAC"]
+        assert all(len(row) == len(rows[0]) for row in rows)

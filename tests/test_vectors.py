@@ -59,6 +59,20 @@ class TestRunner:
         assert not results[0].passed
         assert results[0].got == case.expect
 
+    def test_default_params_are_empty_and_read_only(self):
+        # The default is one object shared by every case built without params.
+        case = vectors.VectorCase(id="x", construction="sha256", key=b"", msg=b"",
+                                  expect=b"")
+        assert dict(case.params) == {}
+        with pytest.raises(TypeError):
+            case.params["L"] = 256
+
+    def test_parsed_params_are_the_file_dict(self):
+        (case,) = vectors.parse_cases([{"construction": "kmac128", "expect": "00",
+                                        "params": {"L": 8}}])
+        assert type(case.params) is dict
+        assert case.params == {"L": 8}
+
     def test_unknown_construction_rejected(self):
         case = vectors.VectorCase(id="x", construction="rot13", key=b"", msg=b"",
                                   expect=b"\x00")
