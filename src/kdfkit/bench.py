@@ -116,13 +116,18 @@ def _make_op(target: BenchTarget):
     raise ValueError(f"unknown bench target kind: {kind}")
 
 
-def run_bench(target: BenchTarget, iterations: int = DEFAULT_ITERATIONS,
-              warmup: int = DEFAULT_WARMUP, seed: int = 0) -> TimingSampleSet:
-    """Time ``iterations`` invocations of the target, one sample each."""
+def check_counts(iterations: int, warmup: int) -> None:
+    """Raise ValueError unless ``iterations`` >= 1 and ``warmup`` >= 0."""
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
     if warmup < 0:
         raise ValueError("warmup must not be negative")
+
+
+def run_bench(target: BenchTarget, iterations: int = DEFAULT_ITERATIONS,
+              warmup: int = DEFAULT_WARMUP, seed: int = 0) -> TimingSampleSet:
+    """Time ``iterations`` invocations of the target, one sample each."""
+    check_counts(iterations, warmup)
     op = _make_op(target)
     rng = random.Random(seed)
     inputs = [rng.randbytes(target.msg_len) for _ in range(warmup + iterations)]

@@ -150,6 +150,8 @@ def _cmd_selftest(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    # Rejected before --out is touched or the meta line printed.
+    bench_mod.check_counts(args.iterations, args.warmup)
     targets = bench_mod.default_targets(seed=args.seed)
     if args.targets == "macs":
         targets = [t for t in targets if t.kind in bench_mod.MAC_KINDS]

@@ -14,7 +14,8 @@ bit-granular messages are not supported.
 
 import hashlib
 
-from cryptography.hazmat.primitives.ciphers import Cipher
+import cryptography
+from cryptography.hazmat.bindings._rust import openssl as _rust_openssl
 from cryptography.hazmat.primitives.ciphers.algorithms import AES
 from cryptography.hazmat.primitives.ciphers.modes import ECB
 
@@ -38,6 +39,16 @@ CSHAKE_PAD = 0x04
 # ECB carries no per-key state, so every key setup shares one mode object.
 _ECB = ECB()
 
+# The factory that ``Cipher(...).encryptor()`` ends in. Missing, it fails the
+# import here rather than at the first key setup.
+try:
+    _create_encryption_ctx = _rust_openssl.ciphers.create_encryption_ctx
+except AttributeError:
+    raise ImportError(
+        "kdfkit needs cryptography>=48, whose Rust bindings expose "
+        "openssl.ciphers.create_encryption_ctx; installed is cryptography "
+        f"{cryptography.__version__}") from None
+
 
 def sha256(data: bytes) -> bytes:
     """SHA-256 digest of ``data`` (FIPS 180-4)."""
@@ -51,10 +62,14 @@ class AesBlockCipher:
         if len(key) != AES_KEY_LEN:
             raise ValueError(f"AES-128 key must be {AES_KEY_LEN} bytes, got {len(key)}")
         # ECB has no chaining state, so one streaming encryptor can serve
-        # any number of independent 16-byte blocks. AES and _ECB are bound at
-        # import: a lookup on the ``algorithms`` or ``modes`` module per call
-        # goes through cryptography's deprecation wrapper, ~2 µs each.
-        self._encryptor = Cipher(AES(key), _ECB).encryptor()
+        # any number of independent 16-byte blocks. The context comes straight
+        # from the factory, skipping only ``Cipher``'s argument checks: the
+        # algorithm and mode types, ECB's AES key size and the AEAD tag. The
+        # mode and tag checks each look up a class on the ``modes`` module
+        # through cryptography's deprecation wrapper (~2.4 µs each), as a
+        # per-call ``algorithms.AES`` would. With AES, a 16-byte key and _ECB
+        # none of the checks can fail; AES(key) still validates the key.
+        self._encryptor = _create_encryption_ctx(AES(key), _ECB)
 
     def encrypt_block(self, block: bytes) -> bytes:
         if len(block) != AES_BLOCK_LEN:

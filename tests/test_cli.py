@@ -289,6 +289,16 @@ class TestBench:
         assert "error:" in err
         assert out_path.read_bytes() == b"sentinel results\n"
 
+    @pytest.mark.parametrize("bad", [("--iterations", "0"), ("--warmup", "-1")])
+    def test_failed_run_leaves_nothing_behind(self, capsys, tmp_path, bad):
+        out_path = tmp_path / "new.csv"
+        code, out, err = run_cli(capsys, "bench", "--targets", "macs", *bad,
+                                 "--out", str(out_path))
+        assert code == 2
+        assert "error:" in err
+        assert not out_path.exists()
+        assert out == ""
+
     def test_unwritable_output_exits_2(self, capsys, tmp_path, monkeypatch):
         code, _, err = run_cli(capsys, "bench", "--targets", "macs", "--iterations", "2",
                                "--warmup", "0", "--out", str(tmp_path / "no/dir/x.csv"))

@@ -1,8 +1,13 @@
 """Known-answer and property tests for the primitive adapters."""
 
 import hashlib
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import cryptography.utils
 import pytest
 
 from kdfkit.primitives import (
@@ -16,6 +21,7 @@ from kdfkit.primitives import (
 )
 from reference import aes128_encrypt_block, keccak_f1600_reference
 
+ROOT = Path(__file__).resolve().parents[1]
 
 def _aes(key, block):
     return AesBlockCipher(key).encrypt_block(block)
@@ -78,6 +84,33 @@ class TestAes:
     def test_bad_block_length(self, block_len):
         with pytest.raises(ValueError):
             _aes(bytes(16), bytes(block_len))
+
+    def test_key_setup_skips_deprecation_wrapper(self, monkeypatch):
+        # Every class looked up on cryptography's ``modes`` module goes through
+        # this wrapper's __getattr__ (~2.4 µs each). Cipher(...).encryptor()
+        # makes two such lookups per key setup; the direct factory none.
+        AesBlockCipher(bytes(16))
+        wrapper = cryptography.utils._ModuleWithDeprecations
+        lookups = []
+        original = wrapper.__getattr__
+
+        def counting(module, name):
+            lookups.append(name)
+            return original(module, name)
+
+        monkeypatch.setattr(wrapper, "__getattr__", counting)
+        AesBlockCipher(bytes(range(16)))
+        assert lookups == []
+
+    def test_missing_context_factory_fails_import(self):
+        code = ("from cryptography.hazmat.bindings._rust import openssl; "
+                "del openssl.ciphers.create_encryption_ctx; import kdfkit.primitives")
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode != 0
+        assert ("ImportError: kdfkit needs cryptography>=48, whose Rust bindings expose "
+                "openssl.ciphers.create_encryption_ctx") in proc.stderr
 
 
 class TestSha256:
