@@ -8,9 +8,10 @@ Statistics are the usual box-plot set: mean, median, population standard
 deviation, and linearly interpolated quartiles, all in milliseconds.
 
 Orderings between constructions are hardware- and runtime-dependent, so
-they are surfaced as WARN strings, never as failures. In particular, the
-Keccak permutation here is pure Python while AES and SHA-256 are C-backed,
-which skews KMAC-based targets upward relative to a uniformly native build.
+they are surfaced as WARN strings, never as failures. All three primitives
+are native (AES and SHA-256 in OpenSSL, Keccak-f[1600] in Nettle), but the
+sponge, the paddings and every construction around them are Python, so
+per-call framing and key setup weigh as much as the primitives' own work.
 """
 
 import csv

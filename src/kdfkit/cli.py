@@ -18,6 +18,7 @@ from .cmac import cmac
 from .hmac import hmac
 from .kdf import counter_kdf, ieee_kdf, kmac_kdf, PrfChoice
 from .kmac import kmac128, kmac256
+from .primitives import NETTLE_VERSION
 
 EXIT_OK = 0
 EXIT_SELFTEST_FAIL = 1
@@ -172,11 +173,13 @@ def _cmd_bench(args) -> int:
 
     from cryptography.hazmat.backends.openssl.backend import backend
 
-    # AES runs in cryptography's bundled OpenSSL, SHA-256 in hashlib's libcrypto.
+    # AES runs in cryptography's bundled OpenSSL, SHA-256 in hashlib's libcrypto
+    # and Keccak-f[1600] in the system Nettle.
     print(f"meta python={platform.python_implementation()} {platform.python_version()}; "
           f"cryptography={cryptography.__version__}; "
           f"aes_openssl={backend.openssl_version_text()}; "
-          f"sha256_openssl={ssl.OPENSSL_VERSION}; cpus={os.cpu_count()}; "
+          f"sha256_openssl={ssl.OPENSSL_VERSION}; keccak=nettle {NETTLE_VERSION}; "
+          f"cpus={os.cpu_count()}; "
           f"seed={args.seed}; iterations={args.iterations}; warmup={args.warmup}")
     results = bench_mod.run_table(targets, args.iterations, args.warmup, args.seed)
     # Written before the table is printed, so a reader that closes stdout

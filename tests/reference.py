@@ -6,7 +6,8 @@ no code or data with the OpenSSL-backed production path. Slow, but only
 used as a cross-check oracle.
 
 The Keccak-f[1600] here is the loop form of the permutation, with the round
-constants computed from FIPS 202's LFSR rather than copied from the package.
+constants computed from FIPS 202's LFSR rather than transcribed, so it shares
+nothing with the Nettle permutation the package calls.
 """
 
 

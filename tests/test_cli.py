@@ -1,6 +1,7 @@
 """CLI contract: hex in/out, exit codes, selftest report, bench orchestration."""
 
 import csv
+import ctypes
 import io
 import json
 import os
@@ -31,8 +32,9 @@ def run_cli(capsys, *argv):
 def test_import_leaves_heavy_modules_unloaded():
     # Every fresh `kdfkit` process pays for what `import kdfkit.cli` loads.
     # dataclasses brings inspect, ast, dis and tokenize; ssl and platform are
-    # needed only by `bench`'s meta line, which imports them itself.
-    heavy = ("dataclasses", "inspect", "ssl", "platform")
+    # needed only by `bench`'s meta line, which imports them itself. ctypes.util
+    # (find_library) imports subprocess and runs ldconfig.
+    heavy = ("dataclasses", "inspect", "ssl", "platform", "ctypes.util", "subprocess")
     code = f"import sys, kdfkit.cli; print(*[m for m in {heavy!r} if m in sys.modules])"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
@@ -245,11 +247,14 @@ class TestBench:
         assert sum(line.startswith("meta ") for line in lines) == 1
         fields = dict(field.split("=", 1) for field in lines[0][len("meta "):].split("; "))
         assert list(fields) == ["python", "cryptography", "aes_openssl", "sha256_openssl",
-                                "cpus", "seed", "iterations", "warmup"]
+                                "keccak", "cpus", "seed", "iterations", "warmup"]
         assert fields["python"].endswith(platform.python_version())
         assert fields["cryptography"] == cryptography.__version__
         assert fields["aes_openssl"] == openssl_backend.openssl_version_text()
         assert fields["sha256_openssl"] == ssl.OPENSSL_VERSION
+        nettle = ctypes.CDLL("libnettle.so.8")
+        assert fields["keccak"] == (f"nettle {nettle.nettle_version_major()}."
+                                    f"{nettle.nettle_version_minor()}")
         assert fields["cpus"] == str(os.cpu_count())
         assert (fields["seed"], fields["iterations"], fields["warmup"]) == ("9", "2", "1")
 

@@ -203,8 +203,41 @@ class TestSponge:
         assert lanes == list(range(25))
         assert out is not lanes and out != lanes
 
+    @pytest.mark.parametrize("count", [24, 26])
+    def test_permutation_rejects_wrong_lane_count(self, count):
+        # Nettle reads and writes 25 lanes, so a shorter buffer would overrun.
+        with pytest.raises(ValueError, match="25 lanes"):
+            keccak_f1600([0] * count)
+
+    @pytest.mark.parametrize("lane", [-1, 1 << 64])
+    def test_permutation_rejects_out_of_range_lane(self, lane):
+        lanes = [0] * 24 + [lane]
+        with pytest.raises(OverflowError):
+            keccak_f1600(lanes)
+        assert lanes == [0] * 24 + [lane]
+
+    @pytest.mark.parametrize("stand_in", [
+        "raise OSError('libnettle.so.8: cannot open shared object file')",
+        "return real('libc.so.6')",  # loads, but has no nettle_sha3_permute
+    ])
+    def test_missing_nettle_fails_import(self, stand_in):
+        code = ("import ctypes\n"
+                "real = ctypes.CDLL\n"
+                "def cdll(name, *args, **kwargs):\n"
+                "    if name == 'libnettle.so.8':\n"
+                f"        {stand_in}\n"
+                "    return real(name, *args, **kwargs)\n"
+                "ctypes.CDLL = cdll\n"
+                "import kdfkit.primitives")
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode != 0
+        assert ("ImportError: kdfkit needs Nettle 3.x as libnettle.so.8, exporting "
+                "nettle_sha3_permute") in proc.stderr
+
     def test_permutation_matches_reference(self):
-        # The straight-line production body against the loop form, lane for lane.
+        # Nettle's permutation against the loop form, lane for lane.
         rng = random.Random(1600)
         states = [[0] * 25, [(1 << 64) - 1] * 25]
         states += [[rng.getrandbits(64) for _ in range(25)] for _ in range(200)]
