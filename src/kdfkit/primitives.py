@@ -15,9 +15,8 @@ not supported.
 
 import ctypes
 import hashlib
-import struct
+import sys
 from array import array
-from operator import xor
 
 import cryptography
 from cryptography.hazmat.bindings._rust import openssl as _rust_openssl
@@ -83,12 +82,14 @@ class AesBlockCipher:
 
 
 # ---------------------------------------------------------------------------
-# Keccak-f[1600] permutation (FIPS 202, section 3). State is 25 64-bit lanes,
-# lane (x, y) at flat index x + 5*y: the layout of Nettle's struct sha3_state,
-# whose public nettle_sha3_permute runs the 24 rounds in place.
+# Keccak-f[1600] permutation (FIPS 202, section 3). The state is FIPS 202's
+# 200-byte state string: lane (x, y) is the little-endian 64-bit word at bytes
+# 8*(x + 5*y) .. +7. Nettle's struct sha3_state holds the same 25 lanes as
+# host-order uint64_t, and its public nettle_sha3_permute runs the 24 rounds
+# in place.
 # ---------------------------------------------------------------------------
 
-KECCAK_LANES = 25
+KECCAK_STATE_LEN = 200
 
 # Loaded by soname: ctypes.util.find_library would run ldconfig in a subprocess.
 try:
@@ -102,25 +103,30 @@ except (OSError, AttributeError) as exc:
         "kdfkit needs Nettle 3.x as libnettle.so.8, exporting nettle_sha3_permute "
         f"for Keccak-f[1600]: {exc}") from None
 
+# Nettle's lanes are host-order words; the state string's are little-endian.
+_BIG_ENDIAN_HOST = sys.byteorder == "big"
 
-def keccak_f1600(lanes: list) -> list:
-    """One Keccak-f[1600] permutation over 25 64-bit lanes (new list returned)."""
+
+def keccak_f1600(state: bytes) -> bytes:
+    """One Keccak-f[1600] permutation of a 200-byte state (new bytes returned)."""
     # Nettle reads and writes all 200 bytes, so a short state would overrun.
-    if len(lanes) != KECCAK_LANES:
-        raise ValueError(f"Keccak-f[1600] state must be {KECCAK_LANES} lanes, got {len(lanes)}")
-    # array("Q") raises OverflowError for a lane outside [0, 2**64) rather than
-    # truncating it, and owns the buffer for the length of the call.
-    state = array("Q", lanes)
-    _sha3_permute(state.buffer_info()[0])
-    return state.tolist()
-
-
-# Little-endian lane words of one rate block, per rate.
-_RATE_BLOCKS = {rate: struct.Struct(f"<{rate // 8}Q") for rate in VALID_RATES}
+    if len(state) != KECCAK_STATE_LEN:
+        raise ValueError(
+            f"Keccak-f[1600] state must be {KECCAK_STATE_LEN} bytes, got {len(state)}")
+    # frombytes copies the state (TypeError if it is not bytes-like), so the
+    # array owns the buffer Nettle writes for the length of the call.
+    lanes = array("Q")
+    lanes.frombytes(state)
+    if _BIG_ENDIAN_HOST:
+        lanes.byteswap()
+    _sha3_permute(lanes.buffer_info()[0])
+    if _BIG_ENDIAN_HOST:
+        lanes.byteswap()
+    return lanes.tobytes()
 
 
 class KeccakSponge:
-    """Incremental Keccak sponge over 25 64-bit lanes.
+    """Incremental Keccak sponge over the 200-byte state.
 
     Single-owner: absorb in any number of calls, finalize once with a domain
     byte, then squeeze any number of output bytes. Not thread-safe.
@@ -130,19 +136,9 @@ class KeccakSponge:
         if rate not in VALID_RATES:
             raise ValueError(f"sponge rate must be one of {VALID_RATES}, got {rate}")
         self.rate = rate
-        self._block = _RATE_BLOCKS[rate]
-        self._lanes = [0] * KECCAK_LANES
+        self._state = bytes(KECCAK_STATE_LEN)
         self._pending = b""  # absorbed bytes short of a full rate block
         self._squeezed = None  # unread output of the current block; set by finalize
-
-    def _absorb_block(self, block: bytes) -> None:
-        lanes = self._lanes
-        words = self._block.unpack(block)
-        self._lanes = keccak_f1600([*map(xor, lanes, words), *lanes[len(words):]])
-
-    def _output_block(self) -> bytes:
-        block = self._block
-        return block.pack(*self._lanes[:block.size // 8])
 
     def absorb(self, data: bytes) -> None:
         if self._squeezed is not None:
@@ -150,8 +146,14 @@ class KeccakSponge:
         data = self._pending + data
         rate = self.rate
         end = len(data) - len(data) % rate
+        state = self._state
+        # A rate block read little-endian is below 2**(8*rate), so one integer
+        # XOR touches only the state's first rate bytes, never the capacity.
         for start in range(0, end, rate):
-            self._absorb_block(data[start:start + rate])
+            block = int.from_bytes(data[start:start + rate], "little")
+            state = (int.from_bytes(state, "little") ^ block).to_bytes(KECCAK_STATE_LEN, "little")
+            state = keccak_f1600(state)
+        self._state = state
         self._pending = data[end:]
 
     def finalize(self, domain_pad: int) -> None:
@@ -161,8 +163,9 @@ class KeccakSponge:
         # The domain byte follows the pending input; 0x80 lands in the block's last byte.
         padded = int.from_bytes(self._pending + bytes([domain_pad]), "little")
         padded ^= 0x80 << 8 * (self.rate - 1)
-        self._absorb_block(padded.to_bytes(self.rate, "little"))
-        self._squeezed = self._output_block()
+        state = int.from_bytes(self._state, "little") ^ padded
+        self._state = keccak_f1600(state.to_bytes(KECCAK_STATE_LEN, "little"))
+        self._squeezed = self._state[:self.rate]
 
     def squeeze(self, out_len: int) -> bytes:
         if self._squeezed is None:
@@ -171,8 +174,8 @@ class KeccakSponge:
             raise ValueError("output length must not be negative")
         out = self._squeezed
         while len(out) < out_len:
-            self._lanes = keccak_f1600(self._lanes)
-            out += self._output_block()
+            self._state = keccak_f1600(self._state)
+            out += self._state[:self.rate]
         self._squeezed = out[out_len:]
         return out[:out_len]
 

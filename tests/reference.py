@@ -7,7 +7,10 @@ used as a cross-check oracle.
 
 The Keccak-f[1600] here is the loop form of the permutation, with the round
 constants computed from FIPS 202's LFSR rather than transcribed, so it shares
-nothing with the Nettle permutation the package calls.
+nothing with the Nettle permutation the package calls. The sponge over it
+works lane by lane, pads the message as a byte string and squeezes lanes
+back to bytes, sharing no state layout or padding arithmetic with the
+package's sponge.
 """
 
 
@@ -185,3 +188,27 @@ def keccak_f1600_reference(lanes):
         # iota
         a[0] ^= rc
     return a
+
+
+def reference_sponge(data, rate, pad, out_len):
+    """Keccak sponge at ``rate`` bytes with pad10*1 after domain byte ``pad``.
+
+    FIPS 202 Algorithm 8 over ``keccak_f1600_reference``: the padded message
+    is split into rate blocks, each XORed into the lanes word by word.
+    """
+    assert rate % 8 == 0 and 0 < rate < 200 and 0 <= pad < 0x80
+    padded = bytearray(data) + bytes([pad])
+    padded += bytes(-len(padded) % rate)
+    padded[-1] |= 0x80  # the pad byte's own top bit is clear, so this cannot collide
+    lanes = [0] * 25
+    for start in range(0, len(padded), rate):
+        for i in range(rate // 8):
+            word = padded[start + 8 * i:start + 8 * i + 8]
+            lanes[i] ^= int.from_bytes(word, "little")
+        lanes = keccak_f1600_reference(lanes)
+    out = b""
+    while True:
+        out += b"".join(lane.to_bytes(8, "little") for lane in lanes[:rate // 8])
+        if len(out) >= out_len:
+            return out[:out_len]
+        lanes = keccak_f1600_reference(lanes)

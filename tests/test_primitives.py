@@ -3,6 +3,7 @@
 import hashlib
 import os
 import random
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -19,7 +20,7 @@ from kdfkit.primitives import (
     sha256,
     sponge_absorb_squeeze,
 )
-from reference import aes128_encrypt_block, keccak_f1600_reference
+from reference import aes128_encrypt_block, keccak_f1600_reference, reference_sponge
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -198,23 +199,21 @@ class TestSponge:
             assert b"".join(parts) == expected, chunk
 
     def test_permutation_leaves_input_unchanged(self):
-        lanes = list(range(25))
-        out = keccak_f1600(lanes)
-        assert lanes == list(range(25))
-        assert out is not lanes and out != lanes
+        state = bytearray(range(200))
+        out = keccak_f1600(state)
+        assert state == bytearray(range(200))
+        assert type(out) is bytes and len(out) == 200 and out != state
 
-    @pytest.mark.parametrize("count", [24, 26])
-    def test_permutation_rejects_wrong_lane_count(self, count):
-        # Nettle reads and writes 25 lanes, so a shorter buffer would overrun.
-        with pytest.raises(ValueError, match="25 lanes"):
-            keccak_f1600([0] * count)
+    @pytest.mark.parametrize("length", [199, 201])
+    def test_permutation_rejects_wrong_state_length(self, length):
+        # Nettle reads and writes 200 bytes, so a shorter buffer would overrun.
+        with pytest.raises(ValueError, match="200 bytes"):
+            keccak_f1600(bytes(length))
 
-    @pytest.mark.parametrize("lane", [-1, 1 << 64])
-    def test_permutation_rejects_out_of_range_lane(self, lane):
-        lanes = [0] * 24 + [lane]
-        with pytest.raises(OverflowError):
-            keccak_f1600(lanes)
-        assert lanes == [0] * 24 + [lane]
+    @pytest.mark.parametrize("state", [[0] * 200, "\0" * 200], ids=["list", "str"])
+    def test_permutation_rejects_non_bytes_state(self, state):
+        with pytest.raises(TypeError):
+            keccak_f1600(state)
 
     @pytest.mark.parametrize("stand_in", [
         "raise OSError('libnettle.so.8: cannot open shared object file')",
@@ -237,15 +236,29 @@ class TestSponge:
                 "nettle_sha3_permute") in proc.stderr
 
     def test_permutation_matches_reference(self):
-        # Nettle's permutation against the loop form, lane for lane.
+        # Nettle's permutation against the loop form, lane for lane, each
+        # state packed as FIPS 202's little-endian state string.
         rng = random.Random(1600)
         states = [[0] * 25, [(1 << 64) - 1] * 25]
         states += [[rng.getrandbits(64) for _ in range(25)] for _ in range(200)]
         for lanes in states:
-            assert keccak_f1600(lanes) == keccak_f1600_reference(lanes), lanes
+            expected = struct.pack("<25Q", *keccak_f1600_reference(lanes))
+            assert keccak_f1600(struct.pack("<25Q", *lanes)) == expected, lanes
         # Known answer from the Keccak team's KeccakF-1600 intermediate values:
         # lane 0 after one permutation of the zero state.
-        assert keccak_f1600([0] * 25)[0] == 0xF1258F7940E1DDE7
+        lane0 = int.from_bytes(keccak_f1600(bytes(200))[:8], "little")
+        assert lane0 == 0xF1258F7940E1DDE7
+
+    @pytest.mark.parametrize("rate", [168, 136])
+    @pytest.mark.parametrize("pad", [0x1F, 0x04])
+    def test_matches_reference_sponge(self, rate, pad):
+        # At rate - 1 the domain byte and pad10*1's 0x80 share the block's
+        # last byte; at rate the padding takes a block of its own.
+        rng = random.Random(rate * pad)
+        for length in (rate - 2, rate - 1, rate, rate + 1):
+            data = rng.randbytes(length)
+            assert sponge_absorb_squeeze(data, rate, pad, 3 * rate) == \
+                reference_sponge(data, rate, pad, 3 * rate), length
 
     def test_single_owner_lifecycle(self):
         sponge = KeccakSponge(168)
