@@ -18,22 +18,13 @@ def _dbl(value: int) -> int:
     return shifted ^ _REDUCTION if value >> 127 else shifted
 
 
-def dbl(block: bytes) -> bytes:
-    """Multiply a 16-byte block by x in GF(2^128)."""
-    if len(block) != AES_BLOCK_LEN:
-        raise ValueError(f"dbl needs a {AES_BLOCK_LEN}-byte block, got {len(block)}")
-    return _dbl(int.from_bytes(block, "big")).to_bytes(AES_BLOCK_LEN, "big")
-
-
 def _subkeys(cipher: AesBlockCipher) -> tuple:
-    """(K1, K2) as 128-bit ints for the key ``cipher`` was set up with."""
+    """(K1, K2) as 128-bit ints for the key ``cipher`` was set up with.
+
+    K1 is AES(key, 0^128) doubled, and K2 is K1 doubled.
+    """
     k1 = _dbl(int.from_bytes(cipher.encrypt_block(bytes(AES_BLOCK_LEN)), "big"))
     return k1, _dbl(k1)
-
-
-def derive_subkeys(key: bytes) -> tuple:
-    """K1 = dbl(AES(key, 0^128)), K2 = dbl(K1), as the pair of 16-byte blocks (K1, K2)."""
-    return tuple(k.to_bytes(AES_BLOCK_LEN, "big") for k in _subkeys(AesBlockCipher(key)))
 
 
 def cmac(key: bytes, msg: bytes) -> bytes:

@@ -11,11 +11,11 @@ import time
 
 from kdfkit import bench, vectors
 from kdfkit.bench import KDF_KINDS, TargetKind
-from kdfkit.cmac import cmac, dbl, derive_subkeys
+from kdfkit.cmac import _dbl, _subkeys, cmac
 from kdfkit.hmac import hmac
 from kdfkit.kdf import PURPOSE_SIGNING, PrfChoice, counter_kdf, ieee_kdf, kmac_kdf
 from kdfkit.kmac import kmac128
-from kdfkit.primitives import sponge_absorb_squeeze
+from kdfkit.primitives import AesBlockCipher, sponge_absorb_squeeze
 from test_kdf import manual_counter_blocks, manual_ieee
 
 
@@ -36,6 +36,7 @@ def test_criterion_1_known_answer_conformance():
         "fips180-4-sha256-empty", "fips180-4-sha256-abc",
         "fips202-shake128-empty",
         "rfc4231-case-1", "rfc4231-case-2", "rfc4231-case-3", "rfc4231-case-4",
+        "rfc4231-case-6", "rfc4231-case-7",
         "rfc4493-example-1", "rfc4493-example-2",
         "rfc4493-example-3", "rfc4493-example-4",
         "sp800-185-cshake128-sample-1",
@@ -98,10 +99,10 @@ def test_criterion_3_invariant_suites():
     assert kmac128(key16, msg) == kmac128(key16, msg)
     assert kmac_kdf(key16, msg, 384) == kmac_kdf(key16, msg, 384)
 
-    # dbl fixed point and subkey chain
-    assert dbl(dbl(bytes(16))) == bytes(16)
-    k1, _ = derive_subkeys(bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c"))
-    assert k1.hex() == "fbeed618357133667c85e08f7236a8de"
+    # doubling fixed point and subkey chain
+    assert _dbl(_dbl(0)) == 0
+    k1, _ = _subkeys(AesBlockCipher(bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")))
+    assert k1 == 0xfbeed618357133667c85e08f7236a8de
 
     # sponge prefix stability
     long_out = sponge_absorb_squeeze(b"stability", 168, 0x1F, 400)

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from kdfkit.hmac import HmacStream, derive_k0, hmac
+from kdfkit.hmac import hmac
 
 RFC4231_CASES = [
     ("case-1", bytes([0x0B]) * 20, b"Hi There",
@@ -18,23 +18,6 @@ RFC4231_CASES = [
     ("case-4", bytes(range(1, 26)), bytes([0xCD]) * 50,
      "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b"),
 ]
-
-
-class TestDeriveK0:
-    def test_block_sized_key_verbatim(self):
-        key = bytes(range(64))
-        assert derive_k0(key) == key
-
-    def test_short_key_zero_padded(self):
-        key = bytes([0x0B]) * 20
-        assert derive_k0(key) == key + bytes(44)
-
-    def test_long_key_hashed_then_padded(self):
-        key = bytes([0xAA]) * 131  # RFC 4231 case-6 key path
-        assert derive_k0(key) == hashlib.sha256(key).digest() + bytes(32)
-
-    def test_empty_key_all_zero(self):
-        assert derive_k0(b"") == bytes(64)
 
 
 class TestHmac:
@@ -60,6 +43,14 @@ class TestHmac:
             for msg in messages:
                 assert len(hmac(key, msg)) == 32
 
+    def test_long_key_hashed_first(self):
+        key = bytes([0xAA]) * 131  # RFC 4231 case-6 key length
+        msg = b"long key"
+        assert hmac(key, msg) == hmac(hashlib.sha256(key).digest(), msg)
+
+    def test_empty_key_is_zero_block(self):
+        assert hmac(b"", b"msg") == hmac(bytes(64), b"msg")
+
     def test_short_key_padding_equivalence(self):
         rng = random.Random(11)
         for key_len in [0, 1, 20, 63]:
@@ -78,24 +69,3 @@ class TestHmac:
             msg[pos] ^= bit
             assert hmac(key, bytes(msg)) != baseline
             msg[pos] ^= bit
-
-
-class TestHmacStream:
-    def test_matches_one_shot(self):
-        rng = random.Random(21)
-        key = rng.randbytes(20)
-        msg = rng.randbytes(500)
-        for chunk_size in [1, 7, 64, 500]:
-            stream = HmacStream(key)
-            for start in range(0, len(msg), chunk_size):
-                stream.update(msg[start:start + chunk_size])
-            assert stream.final() == hmac(key, msg)
-
-    def test_empty_message(self):
-        assert HmacStream(b"key").final() == hmac(b"key", b"")
-
-    def test_update_after_final_rejected(self):
-        stream = HmacStream(b"key")
-        stream.final()
-        with pytest.raises(ValueError):
-            stream.update(b"late")

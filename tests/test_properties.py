@@ -3,6 +3,8 @@
 Lengths are drawn around the block edges where padding and framing change:
 the 64-byte SHA-256 block for HMAC keys, every 16-byte AES block boundary
 for CMAC messages, and the 136- and 168-byte sponge rates for SHAKE and KMAC.
+HMAC, CMAC and the CMAC counter KDF are also held to Nettle, which shares no
+code with the OpenSSL behind hashlib and cryptography.
 """
 
 import hashlib
@@ -17,11 +19,17 @@ from hypothesis import strategies as st
 
 from kdfkit.cmac import cmac
 from kdfkit.hmac import hmac
+from kdfkit.kdf import PrfChoice, counter_kdf
 from kdfkit.kmac import cshake, kmac128, kmac256
 from kdfkit.primitives import RATE_128, RATE_256
+from nettle_oracles import load as load_nettle
+from nettle_oracles import nettle_cmac, nettle_hmac
 from openssl_kmac import load, openssl_kmac
 
 DERANDOMIZED = settings(derandomize=True, deadline=None, max_examples=150)
+
+_, _NETTLE_MISSING = load_nettle()
+NEEDS_NETTLE = pytest.mark.skipif(_NETTLE_MISSING is not None, reason=str(_NETTLE_MISSING))
 
 
 def near(*edges, spread=4):
@@ -42,6 +50,12 @@ class TestHmac:
     def test_matches_stdlib(self, key, msg):
         assert hmac(key, msg) == std_hmac.new(key, msg, hashlib.sha256).digest()
 
+    @NEEDS_NETTLE
+    @DERANDOMIZED
+    @given(key=sized_bytes(near(0, 64, 128)), msg=sized_bytes(near(0, 55, 64, 119)))
+    def test_matches_nettle(self, key, msg):
+        assert hmac(key, msg) == nettle_hmac(key, msg)
+
 
 class TestCmac:
     @DERANDOMIZED
@@ -51,6 +65,26 @@ class TestCmac:
         lib = LibCmac(AES(key))
         lib.update(msg)
         assert cmac(key, msg) == lib.finalize()
+
+    @NEEDS_NETTLE
+    @DERANDOMIZED
+    @given(key=sized_bytes(st.just(16)),
+           msg=sized_bytes(st.one_of(st.integers(0, 80), st.integers(4080, 4112))))
+    def test_matches_nettle(self, key, msg):
+        assert cmac(key, msg) == nettle_cmac(key, msg)
+
+
+class TestCmacCounterKdf:
+    @NEEDS_NETTLE
+    @settings(DERANDOMIZED, max_examples=60)
+    @given(key=sized_bytes(st.just(16)), msg=sized_bytes(near(0, 8, 24)),
+           out_len=st.one_of(st.integers(1, 48), near(1024)))
+    def test_matches_nettle_blocks(self, key, msg, out_len):
+        # Block i is CMAC(key, [i]_4 || "KDF" || 0x00 || msg || [out_len]_4).
+        fixed = b"KDF\x00" + msg + out_len.to_bytes(4, "big")
+        blocks = b"".join(nettle_cmac(key, i.to_bytes(4, "big") + fixed)
+                          for i in range(1, -(-out_len // 16) + 1))
+        assert counter_kdf(PrfChoice.CMAC_AES128, key, msg, out_len) == blocks[:out_len]
 
 
 class TestShake:

@@ -30,6 +30,7 @@ class TestBundledFile:
             "fips180-4-sha256-empty", "fips180-4-sha256-abc",
             "fips202-shake128-empty",
             "rfc4231-case-1", "rfc4231-case-2", "rfc4231-case-3", "rfc4231-case-4",
+            "rfc4231-case-6", "rfc4231-case-7",
             "rfc4493-example-1", "rfc4493-example-2",
             "rfc4493-example-3", "rfc4493-example-4",
             "sp800-185-cshake128-sample-1",
