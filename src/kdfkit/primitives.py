@@ -126,10 +126,11 @@ def keccak_f1600(state: bytes) -> bytes:
 
 
 class KeccakSponge:
-    """Incremental Keccak sponge over the 200-byte state.
+    """One pass of the Keccak sponge over the 200-byte state.
 
-    Single-owner: absorb in any number of calls, finalize once with a domain
-    byte, then squeeze any number of output bytes. Not thread-safe.
+    ``sponge_absorb_squeeze`` drives it once, in order: ``absorb`` permutes
+    the message's full rate blocks, ``finalize`` pads and permutes the tail,
+    and ``squeeze`` reads the output. No input is held between the steps.
     """
 
     def __init__(self, rate: int):
@@ -137,13 +138,9 @@ class KeccakSponge:
             raise ValueError(f"sponge rate must be one of {VALID_RATES}, got {rate}")
         self.rate = rate
         self._state = bytes(KECCAK_STATE_LEN)
-        self._pending = b""  # absorbed bytes short of a full rate block
-        self._squeezed = None  # unread output of the current block; set by finalize
 
-    def absorb(self, data: bytes) -> None:
-        if self._squeezed is not None:
-            raise ValueError("cannot absorb after finalize")
-        data = self._pending + data
+    def absorb(self, data: bytes) -> bytes:
+        """Permute every full rate block of ``data``; return the unabsorbed tail."""
         rate = self.rate
         end = len(data) - len(data) % rate
         state = self._state
@@ -154,29 +151,23 @@ class KeccakSponge:
             state = (int.from_bytes(state, "little") ^ block).to_bytes(KECCAK_STATE_LEN, "little")
             state = keccak_f1600(state)
         self._state = state
-        self._pending = data[end:]
+        return data[end:]
 
-    def finalize(self, domain_pad: int) -> None:
-        """Apply pad10*1 with the given domain byte and close absorption."""
-        if self._squeezed is not None:
-            raise ValueError("sponge already finalized")
-        # The domain byte follows the pending input; 0x80 lands in the block's last byte.
-        padded = int.from_bytes(self._pending + bytes([domain_pad]), "little")
+    def finalize(self, tail: bytes, domain_pad: int) -> None:
+        """XOR in ``tail`` under pad10*1 with the given domain byte, and permute."""
+        # The domain byte follows the tail; 0x80 lands in the block's last byte.
+        padded = int.from_bytes(tail + bytes([domain_pad]), "little")
         padded ^= 0x80 << 8 * (self.rate - 1)
         state = int.from_bytes(self._state, "little") ^ padded
         self._state = keccak_f1600(state.to_bytes(KECCAK_STATE_LEN, "little"))
-        self._squeezed = self._state[:self.rate]
 
     def squeeze(self, out_len: int) -> bytes:
-        if self._squeezed is None:
-            raise ValueError("finalize before squeezing")
-        if out_len < 0:
-            raise ValueError("output length must not be negative")
-        out = self._squeezed
+        """The first ``out_len`` output bytes, one rate block per permutation."""
+        state = self._state
+        out = state[:self.rate]
         while len(out) < out_len:
-            self._state = keccak_f1600(self._state)
-            out += self._state[:self.rate]
-        self._squeezed = out[out_len:]
+            state = keccak_f1600(state)
+            out += state[:self.rate]
         return out[:out_len]
 
 
@@ -189,6 +180,5 @@ def sponge_absorb_squeeze(data: bytes, rate: int, domain_pad: int, out_len: int)
     if out_len <= 0:
         raise ValueError("output length must be positive")
     sponge = KeccakSponge(rate)
-    sponge.absorb(data)
-    sponge.finalize(domain_pad)
+    sponge.finalize(sponge.absorb(data), domain_pad)
     return sponge.squeeze(out_len)

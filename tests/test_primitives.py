@@ -16,7 +16,6 @@ from kdfkit.primitives import (
     SHA256_BLOCK_LEN,
     SHA256_DIGEST_LEN,
     AesBlockCipher,
-    KeccakSponge,
     keccak_f1600,
     sha256,
     sponge_absorb_squeeze,
@@ -193,22 +192,6 @@ class TestSponge:
     def test_invalid_out_len(self):
         with pytest.raises(ValueError):
             sponge_absorb_squeeze(b"", 168, 0x1F, 0)
-        sponge = KeccakSponge(168)
-        sponge.finalize(0x1F)
-        with pytest.raises(ValueError):
-            sponge.squeeze(-1)
-
-    def test_incremental_absorb_matches_one_shot(self):
-        data = random.Random(9).randbytes(1000)
-        expected = hashlib.shake_128(data).digest(340)
-        for chunk in (1, 7, 97, 168, 169):
-            sponge = KeccakSponge(168)
-            for start in range(0, 1000, chunk):
-                sponge.absorb(data[start:start + chunk])
-            sponge.finalize(0x1F)
-            # Squeezes continue one stream, across the block boundaries at 168 and 336.
-            parts = [sponge.squeeze(n) for n in (64, 104, 0, 1, 168, 3)]
-            assert b"".join(parts) == expected, chunk
 
     def test_permutation_leaves_input_unchanged(self):
         state = bytearray(range(200))
@@ -271,15 +254,3 @@ class TestSponge:
             data = rng.randbytes(length)
             assert sponge_absorb_squeeze(data, rate, pad, 3 * rate) == \
                 reference_sponge(data, rate, pad, 3 * rate), length
-
-    def test_single_owner_lifecycle(self):
-        sponge = KeccakSponge(168)
-        sponge.absorb(b"abc")
-        sponge.finalize(0x1F)
-        with pytest.raises(ValueError):
-            sponge.absorb(b"more")
-        with pytest.raises(ValueError):
-            sponge.finalize(0x1F)
-        fresh = KeccakSponge(168)
-        with pytest.raises(ValueError):
-            fresh.squeeze(32)  # must finalize first

@@ -3,8 +3,9 @@
 Lengths are drawn around the block edges where padding and framing change:
 the 64-byte SHA-256 block for HMAC keys, every 16-byte AES block boundary
 for CMAC messages, and the 136- and 168-byte sponge rates for SHAKE and KMAC.
-HMAC, CMAC and the CMAC counter KDF are also held to Nettle, which shares no
-code with the OpenSSL behind hashlib and cryptography.
+HMAC, CMAC and the CMAC counter KDF are also held to Nettle, and the SHAKE
+sponge to libgcrypt; neither shares code with the OpenSSL behind hashlib and
+cryptography.
 """
 
 import hashlib
@@ -14,14 +15,16 @@ import random
 import pytest
 from cryptography.hazmat.primitives.ciphers.algorithms import AES
 from cryptography.hazmat.primitives.cmac import CMAC as LibCmac
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kdfkit.cmac import cmac
 from kdfkit.hmac import hmac
 from kdfkit.kdf import PrfChoice, counter_kdf
 from kdfkit.kmac import cshake, kmac128, kmac256
-from kdfkit.primitives import RATE_128, RATE_256
+from kdfkit.primitives import RATE_128, RATE_256, SHAKE_PAD, sponge_absorb_squeeze
+from gcrypt_oracles import SHAKE128, SHAKE256, gcrypt_shake
+from gcrypt_oracles import load as load_gcrypt
 from nettle_oracles import load as load_nettle
 from nettle_oracles import nettle_cmac, nettle_hmac
 from openssl_kmac import load, openssl_kmac
@@ -30,6 +33,8 @@ DERANDOMIZED = settings(derandomize=True, deadline=None, max_examples=150)
 
 _, _NETTLE_MISSING = load_nettle()
 NEEDS_NETTLE = pytest.mark.skipif(_NETTLE_MISSING is not None, reason=str(_NETTLE_MISSING))
+_, _GCRYPT_MISSING = load_gcrypt()
+NEEDS_GCRYPT = pytest.mark.skipif(_GCRYPT_MISSING is not None, reason=str(_GCRYPT_MISSING))
 
 
 def near(*edges, spread=4):
@@ -44,14 +49,24 @@ def sized_bytes(lengths):
                      lengths, st.integers(0, 2**32 - 1))
 
 
+def hmac_key_edges(test):
+    """Always run HMAC keys one byte either side of one and two SHA-256 blocks,
+    where a key is padded, fills the block, or is hashed first."""
+    for n in (63, 64, 65, 127, 128, 129):
+        test = example(key=random.Random(n).randbytes(n), msg=b"key edge")(test)
+    return test
+
+
 class TestHmac:
     @DERANDOMIZED
+    @hmac_key_edges
     @given(key=sized_bytes(near(0, 64, 128)), msg=sized_bytes(near(0, 55, 64, 119)))
     def test_matches_stdlib(self, key, msg):
         assert hmac(key, msg) == std_hmac.new(key, msg, hashlib.sha256).digest()
 
     @NEEDS_NETTLE
     @DERANDOMIZED
+    @hmac_key_edges
     @given(key=sized_bytes(near(0, 64, 128)), msg=sized_bytes(near(0, 55, 64, 119)))
     def test_matches_nettle(self, key, msg):
         assert hmac(key, msg) == nettle_hmac(key, msg)
@@ -97,6 +112,18 @@ class TestShake:
     def test_matches_hashlib(self, rate, shake, msg, out_len):
         # cSHAKE with empty N and S is plain SHAKE.
         assert cshake(msg, 8 * out_len, b"", b"", rate) == shake(msg).digest(out_len)
+
+    @NEEDS_GCRYPT
+    @pytest.mark.parametrize("rate, algo", [(RATE_128, SHAKE128), (RATE_256, SHAKE256)],
+                             ids=["shake128", "shake256"])
+    @DERANDOMIZED
+    # Inputs around 0 and one, two and three blocks at either rate; outputs
+    # from a few bytes to across the second squeeze block.
+    @given(msg=sized_bytes(near(0, 136, 168, 272, 336, 408, 504)),
+           out_len=st.one_of(st.integers(1, 8), near(136, 168, 272, 336)))
+    def test_sponge_matches_libgcrypt(self, rate, algo, msg, out_len):
+        assert sponge_absorb_squeeze(msg, rate, SHAKE_PAD, out_len) == \
+            gcrypt_shake(algo, msg, out_len)
 
 
 class TestKmac:
