@@ -2,8 +2,8 @@
 
 Each target is timed per invocation with a monotonic nanosecond clock after
 a warmup phase. Inputs come from a seeded generator so runs are replayable;
-a digest of the input stream and a checksum over the outputs are kept as
-metadata (the checksum doubles as the result-consumption barrier).
+a digest of the input stream and a SHA-256 digest of every output are kept
+as metadata (the output digest doubles as the result-consumption barrier).
 Statistics are the usual box-plot set: mean, median, population standard
 deviation, and linearly interpolated quartiles, all in milliseconds.
 
@@ -73,7 +73,7 @@ class BenchTarget(NamedTuple):
 class TimingSampleSet(NamedTuple):
     samples_ns: tuple
     inputs_digest: str  # sha256 over the generated input stream, for replay checks
-    output_checksum: int
+    output_checksum: str  # sha256 over every output, warmup and timed, in call order
 
 
 class BenchStats(NamedTuple):
@@ -132,19 +132,19 @@ def run_bench(target: BenchTarget, iterations: int = DEFAULT_ITERATIONS,
     op = _make_op(target)
     rng = random.Random(seed)
     inputs = [rng.randbytes(target.msg_len) for _ in range(warmup + iterations)]
-    checksum = 0
+    checksum = hashlib.sha256()
     for data in inputs[:warmup]:
-        checksum ^= op(data)[0]
+        checksum.update(op(data))
     samples = []
     clock = time.perf_counter_ns
     for data in inputs[warmup:]:
         start = clock()
         result = op(data)
         samples.append(clock() - start)
-        checksum ^= result[0]
+        checksum.update(result)
     return TimingSampleSet(samples_ns=tuple(samples),
                            inputs_digest=hashlib.sha256(b"".join(inputs)).hexdigest(),
-                           output_checksum=checksum)
+                           output_checksum=checksum.hexdigest())
 
 
 def run_table(targets, iterations: int, warmup: int, seed: int) -> list:

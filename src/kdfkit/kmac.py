@@ -2,12 +2,19 @@
 
 cSHAKE prepends a bytepad-framed function name N and customization string S
 to the message and switches the sponge domain byte to 0x04; with N and S
-both empty it degrades to plain SHAKE. KMAC feeds the bytepad-framed key,
-the message, and the right-encoded output bit length through cSHAKE with
-N = "KMAC". Outputs are byte-aligned only.
+both empty it degrades to plain SHAKE. KMAC is cSHAKE with N = "KMAC" over
+the bytepad-framed key, the message, and the right-encoded output bit
+length. Outputs are byte-aligned only.
+
+KMAC's N/S prefix is built once per rate, at import, for the two S values
+this package passes: "" (the ``kmac128``/``kmac256`` default) and "KDF"
+(``kmac_kdf``). Any other S is framed per call. ``kmac`` frames the whole
+input in one pass and makes one sponge call; since N is never empty, it
+skips ``cshake``'s SHAKE fallback.
 """
 
-from .primitives import CSHAKE_PAD, RATE_128, RATE_256, SHAKE_PAD, sponge_absorb_squeeze
+from .primitives import (CSHAKE_PAD, RATE_128, RATE_256, SHAKE_PAD, VALID_RATES,
+                         sponge_absorb_squeeze)
 
 FUNCTION_NAME = b"KMAC"
 
@@ -55,6 +62,15 @@ def cshake(msg: bytes, out_len_bits: int, n: bytes, s: bytes, rate: int) -> byte
     return sponge_absorb_squeeze(prefix + msg, rate, CSHAKE_PAD, out_len)
 
 
+# bytepad(encode_string("KMAC") || encode_string(S), rate) for each S this
+# package passes; "KDF" is kdf.KDF_LABEL, which kdf's import of this module
+# keeps from being imported here. Public constants only, never a call input.
+_KMAC_PREFIXES = {(s, rate): bytepad(encode_string(FUNCTION_NAME) + encode_string(s), rate)
+                  for s in (b"", b"KDF") for rate in VALID_RATES}
+# left_encode(rate), which opens bytepad(encode_string(key), rate).
+_RATE_HEADERS = {rate: left_encode(rate) for rate in VALID_RATES}
+
+
 def kmac(key: bytes, msg: bytes, out_len_bits: int, customization: bytes, rate: int) -> bytes:
     """KMAC tag of ``msg`` under ``key`` at the given sponge rate; ``out_len_bits/8`` bytes.
 
@@ -62,8 +78,16 @@ def kmac(key: bytes, msg: bytes, out_len_bits: int, customization: bytes, rate: 
     lengths are unrelated rather than truncations of each other. A length
     that is not a positive whole number of bytes raises ``ValueError``.
     """
-    framed = bytepad(encode_string(key), rate) + msg + right_encode(out_len_bits)
-    return cshake(framed, out_len_bits, FUNCTION_NAME, customization, rate)
+    if out_len_bits <= 0 or out_len_bits % 8 != 0:
+        raise ValueError("output length must be a positive whole number of bytes")
+    try:
+        prefix = _KMAC_PREFIXES[customization, rate]
+    except (KeyError, TypeError):  # another S or rate, or an unhashable bytearray S
+        prefix = bytepad(encode_string(FUNCTION_NAME) + encode_string(customization), rate)
+    key_block = (_RATE_HEADERS.get(rate) or left_encode(rate)) + encode_string(key)
+    fill = bytes(-len(key_block) % rate)
+    framed = b"".join((prefix, key_block, fill, msg, right_encode(out_len_bits)))
+    return sponge_absorb_squeeze(framed, rate, CSHAKE_PAD, out_len_bits // 8)
 
 
 def kmac128(key: bytes, msg: bytes, out_len_bits: int = 256, customization: bytes = b"") -> bytes:

@@ -110,7 +110,7 @@ def test_criterion_3_invariant_suites():
     def stats_of(vals):
         sample = bench.TimingSampleSet(
             samples_ns=tuple(int(v * 1e6) for v in vals), inputs_digest="",
-            output_checksum=0)
+            output_checksum="")
         return bench.summarize(sample)
 
     baseline = stats_of(values)

@@ -1,5 +1,6 @@
 """Timing harness unit tests: sampling contract, statistics, export, warnings."""
 
+import hashlib
 import json
 import math
 import random
@@ -21,11 +22,12 @@ from kdfkit.bench import (
     run_table,
     summarize,
 )
+from kdfkit.kmac import kmac128
 
 
 def sample_set(values_ms):
     return TimingSampleSet(samples_ns=tuple(int(v * 1e6) for v in values_ms),
-                           inputs_digest="", output_checksum=0)
+                           inputs_digest="", output_checksum="")
 
 
 class TestRunBench:
@@ -41,6 +43,18 @@ class TestRunBench:
         second = run_bench(target, iterations=20, warmup=2, seed=9)
         assert first.inputs_digest == second.inputs_digest
         assert first.output_checksum == second.output_checksum
+
+    def test_output_checksum_hashes_every_output_byte(self):
+        # SHA-256 over the warmup and timed outputs in call order, so a change
+        # after an output's first byte changes it.
+        target = default_targets(seed=3)[2]
+        assert target.kind is TargetKind.KMAC
+        run = run_bench(target, iterations=4, warmup=2, seed=11)
+        rng = random.Random(11)
+        inputs = [rng.randbytes(target.msg_len) for _ in range(6)]
+        assert run.inputs_digest == hashlib.sha256(b"".join(inputs)).hexdigest()
+        outputs = b"".join(kmac128(target.key, msg) for msg in inputs)
+        assert run.output_checksum == hashlib.sha256(outputs).hexdigest()
 
     def test_different_seed_different_inputs(self):
         target = default_targets(seed=2)[1]
@@ -144,7 +158,8 @@ class TestExport:
     def results(self):
         stats = BenchStats(mean_ms=0.0123456789, median_ms=0.01, stddev_ms=0.002,
                            q1_ms=0.009, q3_ms=0.011, min_ms=0.008, max_ms=0.09)
-        run = TimingSampleSet(samples_ns=(1,), inputs_digest="ab" * 32, output_checksum=7)
+        run = TimingSampleSet(samples_ns=(1,), inputs_digest="ab" * 32,
+                              output_checksum="cd" * 32)
         return [
             (BenchTarget(kind=TargetKind.HMAC, key=b"k" * 16), run, stats),
             (BenchTarget(kind=TargetKind.IEEE_KDF, key=b"k" * 16), run, stats),
@@ -169,7 +184,7 @@ class TestExport:
         assert parsed[1]["out_len"] == 48
         assert parsed[0]["mean_ms"] == round(results[0][2].mean_ms, 6)
         assert list(parsed[0]) == [*CSV_COLUMNS, "inputs_digest", "output_checksum"]
-        assert (parsed[0]["inputs_digest"], parsed[0]["output_checksum"]) == ("ab" * 32, 7)
+        assert (parsed[0]["inputs_digest"], parsed[0]["output_checksum"]) == ("ab" * 32, "cd" * 32)
         # serialize -> parse -> serialize is a fixed point
         again = json.loads(json.dumps(parsed))
         assert again == parsed

@@ -78,6 +78,12 @@ class TestMac:
         assert code == 2
         assert "error" in err
 
+    def test_kmac_negative_bits_is_a_length_error(self, capsys):
+        code, _, err = run_cli(capsys, "mac", "kmac", "--key", KMAC_KEY, "--msg", "",
+                               "--bits", "-8")
+        assert code == 2
+        assert "output length must be a positive whole number of bytes" in err
+
 
 class TestKdf:
     def test_ctr_cmac_length(self, capsys):
@@ -117,6 +123,12 @@ class TestKdf:
         code, _, _ = run_cli(capsys, "kdf", "ctr", "--prf", "hmac", "--key", "aa",
                              "--msg", "", "--len", "0")
         assert code == 2
+
+    def test_kmac_negative_bits_is_a_length_error(self, capsys):
+        code, _, err = run_cli(capsys, "kdf", "kmac", "--key", KMAC_KEY, "--msg", "",
+                               "--bits", "-8")
+        assert code == 2
+        assert "output length must be a positive whole number of bytes" in err
 
 
 class TestParsers:

@@ -2,12 +2,15 @@
 
 import hashlib
 import random
+import sys
 
 import pytest
 
-from kdfkit import vectors
-from kdfkit.kdf import kmac_kdf
+from kdfkit import primitives, vectors
+from kdfkit import kmac as kmac_mod
+from kdfkit.kdf import KDF_LABEL, kmac_kdf
 from kdfkit.kmac import (
+    FUNCTION_NAME,
     bytepad,
     cshake,
     encode_string,
@@ -17,7 +20,7 @@ from kdfkit.kmac import (
     left_encode,
     right_encode,
 )
-from kdfkit.primitives import RATE_128, RATE_256
+from kdfkit.primitives import RATE_128, RATE_256, VALID_RATES
 from openssl_kmac import load, openssl_kmac
 
 SAMPLE_KEY = bytes(range(0x40, 0x60))
@@ -131,12 +134,100 @@ class TestKmac:
 
     @pytest.mark.parametrize("bits", [0, -8, 12, 255])
     def test_invalid_output_bits(self, bits):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="whole number of bytes"):
             kmac(SAMPLE_KEY, b"m", bits, b"", RATE_128)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="whole number of bytes"):
             kmac256(SAMPLE_KEY, b"m", bits)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="whole number of bytes"):
             kmac_kdf(SAMPLE_KEY, b"m", bits)
+
+    @pytest.mark.parametrize("custom", [b"", b"KDF", b"other"])
+    def test_invalid_rate_is_refused_by_the_sponge(self, custom):
+        with pytest.raises(ValueError, match="sponge rate"):
+            kmac(SAMPLE_KEY, b"m", 256, custom, 100)
+
+
+class TestFraming:
+    """kmac frames its input in one pass over prefixes built at import; SP
+    800-185 defines it through cSHAKE, which these tests keep as the reference."""
+
+    def test_prefix_table_entries(self):
+        for (custom, rate), prefix in kmac_mod._KMAC_PREFIXES.items():
+            assert prefix == bytepad(encode_string(FUNCTION_NAME) + encode_string(custom), rate)
+
+    def test_kdf_label_is_tabled(self):
+        # A changed label would still be correct, but framed per call.
+        for rate in VALID_RATES:
+            assert (KDF_LABEL, rate) in kmac_mod._KMAC_PREFIXES
+            assert (b"", rate) in kmac_mod._KMAC_PREFIXES
+
+    @pytest.mark.parametrize("wrap", [bytearray, memoryview])
+    def test_bytes_like_customization(self, wrap):
+        for custom in (b"", KDF_LABEL, TAGGED_APP):
+            assert kmac(SAMPLE_KEY, b"m", 256, wrap(custom), RATE_128) == \
+                kmac(SAMPLE_KEY, b"m", 256, custom, RATE_128)
+
+    @pytest.mark.parametrize("rate", VALID_RATES)
+    def test_matches_the_cshake_definition(self, rate):
+        # KMAC(K, X, L, S) = cSHAKE(bytepad(encode_string(K), rate) || X ||
+        # right_encode(L), L, "KMAC", S). S covers the tabled values, other
+        # short strings, and strings whose N/S prefix spans two rate blocks.
+        rng = random.Random(rate)
+        customs = (b"", KDF_LABEL, b"KDF\x00", b"KD", TAGGED_APP)
+        for n in range(120):
+            key = rng.randbytes(rng.randrange(0, 2 * rate))
+            msg = rng.randbytes(rng.randrange(0, 3 * rate))
+            bits = 8 * rng.randrange(1, 2 * rate)
+            custom = (customs[n % len(customs)] if n % 3
+                      else rng.randbytes(rng.randrange(rate - 12, 2 * rate)))
+            framed = bytepad(encode_string(key), rate) + msg + right_encode(bits)
+            expected = cshake(framed, bits, FUNCTION_NAME, custom, rate)
+            assert kmac(key, msg, bits, custom, rate) == expected, (n, len(custom))
+
+
+@pytest.fixture
+def sponge_counts(monkeypatch):
+    """Counts of sponge passes and Keccak-f[1600] permutations while a test runs.
+
+    The sponge is wrapped in every loaded kdfkit module that binds it, since a
+    module that did ``from .primitives import sponge_absorb_squeeze`` calls
+    its own binding.
+    """
+    counts = {"sponge": 0, "keccak": 0}
+    real_sponge, real_keccak = primitives.sponge_absorb_squeeze, primitives.keccak_f1600
+
+    def sponge(*args):
+        counts["sponge"] += 1
+        return real_sponge(*args)
+
+    def keccak(state):
+        counts["keccak"] += 1
+        return real_keccak(state)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("kdfkit") and \
+                getattr(module, "sponge_absorb_squeeze", None) is real_sponge:
+            monkeypatch.setattr(module, "sponge_absorb_squeeze", sponge)
+    monkeypatch.setattr(primitives, "keccak_f1600", keccak)
+    return counts
+
+
+class TestSpongePasses:
+    """One sponge pass per tag; 16-B keys and 32-B messages as in the paper's rows."""
+
+    KEY = bytes(range(16))
+    MSG = bytes(range(32))
+
+    @pytest.mark.parametrize("call, permutations", [
+        # 168-B N/S prefix, 168-B key block, then message and length in the last block.
+        (lambda key, msg: kmac128(key, msg, 256), 3),
+        (lambda key, msg: kmac256(key, msg, 512), 3),
+        # Two blocks absorbed, one padded tail, and six more squeezed for 1024 B.
+        (lambda key, msg: kmac_kdf(key, msg, 8 * 1024), 9),
+    ], ids=["kmac128-32B", "kmac256-64B", "kmac_kdf-1024B"])
+    def test_one_pass_per_tag(self, sponge_counts, call, permutations):
+        call(self.KEY, self.MSG)
+        assert sponge_counts == {"sponge": 1, "keccak": permutations}
 
 
 # Key lengths around OpenSSL's 4-byte minimum, each rate, and the length at which

@@ -141,6 +141,11 @@ class TestKmac:
            msg=sized_bytes(near(0, 136, 168)),
            out_len=st.one_of(st.integers(1, 8), near(136, 168)),
            custom=sized_bytes(near(0, 20)))
+    # kmac_kdf's S, whose N/S prefix is built at import, and an S whose prefix
+    # spans two blocks at either rate.
+    @example(key=bytes(range(16)), msg=bytes(range(32)), out_len=48, custom=b"KDF")
+    @example(key=bytes(range(16)), msg=bytes(range(32)), out_len=32,
+             custom=random.Random(170).randbytes(170))
     def test_matches_openssl(self, bits, kmac, key, msg, out_len, custom):
         assert kmac(key, msg, 8 * out_len, custom) == \
             openssl_kmac(bits, key, msg, out_len, custom)
