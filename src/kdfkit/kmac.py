@@ -44,6 +44,8 @@ def encode_string(s: bytes) -> bytes:
 
 def bytepad(x: bytes, w: int) -> bytes:
     """Prefix ``x`` with left_encode(w) and zero-fill to a multiple of w."""
+    if w <= 0:
+        raise ValueError(f"bytepad width must be positive, got {w}")
     padded = left_encode(w) + x
     remainder = len(padded) % w
     if remainder:

@@ -16,7 +16,6 @@ not supported.
 import ctypes
 import hashlib
 import sys
-from array import array
 
 import cryptography
 from cryptography.hazmat.bindings._rust import openssl as _rust_openssl
@@ -85,89 +84,93 @@ class AesBlockCipher:
 # Keccak-f[1600] permutation (FIPS 202, section 3). The state is FIPS 202's
 # 200-byte state string: lane (x, y) is the little-endian 64-bit word at bytes
 # 8*(x + 5*y) .. +7. Nettle's struct sha3_state holds the same 25 lanes as
-# host-order uint64_t, and its public nettle_sha3_permute runs the 24 rounds
-# in place.
+# host-order uint64_t, so on a little-endian host the two layouts are one, and
+# its public nettle_sha3_permute runs the 24 rounds in place on the buffer.
 # ---------------------------------------------------------------------------
 
 KECCAK_STATE_LEN = 200
 
+# The state string as one ctypes buffer, the sponge's state for a whole pass.
+KeccakState = ctypes.c_ubyte * KECCAK_STATE_LEN
+
+if sys.byteorder != "little":
+    raise ImportError("kdfkit needs a little-endian host: its Keccak state string "
+                      "is Nettle's host-order lanes as they lie in memory")
+
 # Loaded by soname: ctypes.util.find_library would run ldconfig in a subprocess.
+# Both prototypes name KeccakState itself, not a pointer to it, so ctypes
+# refuses anything but a 200-byte state (bytes, a shorter array, None) before
+# Nettle can read or write past it.
 try:
     _nettle = ctypes.CDLL("libnettle.so.8")
-    _sha3_permute = ctypes.CFUNCTYPE(None, ctypes.c_void_p)(("nettle_sha3_permute", _nettle))
+    _sha3_permute = ctypes.CFUNCTYPE(None, KeccakState)(("nettle_sha3_permute", _nettle))
+    _memxor = ctypes.CFUNCTYPE(None, KeccakState, ctypes.c_char_p, ctypes.c_size_t)(
+        ("nettle_memxor", _nettle))
     _version = ctypes.CFUNCTYPE(ctypes.c_int)
     NETTLE_VERSION = (f"{_version(('nettle_version_major', _nettle))()}."
                       f"{_version(('nettle_version_minor', _nettle))()}")
 except (OSError, AttributeError) as exc:
     raise ImportError(
         "kdfkit needs Nettle 3.x as libnettle.so.8, exporting nettle_sha3_permute "
-        f"for Keccak-f[1600]: {exc}") from None
-
-# Nettle's lanes are host-order words; the state string's are little-endian.
-_BIG_ENDIAN_HOST = sys.byteorder == "big"
+        f"and nettle_memxor for Keccak-f[1600]: {exc}") from None
 
 
-def keccak_f1600(state: bytes) -> bytes:
-    """One Keccak-f[1600] permutation of a 200-byte state (new bytes returned)."""
-    # Nettle reads and writes all 200 bytes, so a short state would overrun.
-    if len(state) != KECCAK_STATE_LEN:
-        raise ValueError(
-            f"Keccak-f[1600] state must be {KECCAK_STATE_LEN} bytes, got {len(state)}")
-    # frombytes copies the state (TypeError if it is not bytes-like), so the
-    # array owns the buffer Nettle writes for the length of the call.
-    lanes = array("Q")
-    lanes.frombytes(state)
-    if _BIG_ENDIAN_HOST:
-        lanes.byteswap()
-    _sha3_permute(lanes.buffer_info()[0])
-    if _BIG_ENDIAN_HOST:
-        lanes.byteswap()
-    return lanes.tobytes()
+def keccak_f1600(state: KeccakState) -> None:
+    """One Keccak-f[1600] permutation of ``state``, in place."""
+    _sha3_permute(state)
 
 
 class KeccakSponge:
-    """One pass of the Keccak sponge over the 200-byte state.
+    """One pass of the Keccak sponge over one ``KeccakState``.
 
     ``sponge_absorb_squeeze`` drives it once, in order: ``absorb`` permutes
     the message's full rate blocks, ``finalize`` pads and permutes the tail,
-    and ``squeeze`` reads the output. No input is held between the steps.
+    and ``squeeze`` reads the output. Each block is XORed into the state in
+    place by Nettle's memxor; no input is held between the steps.
     """
 
     def __init__(self, rate: int):
         if rate not in VALID_RATES:
             raise ValueError(f"sponge rate must be one of {VALID_RATES}, got {rate}")
         self.rate = rate
-        self._state = bytes(KECCAK_STATE_LEN)
+        self._state = KeccakState()
 
     def absorb(self, data: bytes) -> bytes:
         """Permute every full rate block of ``data``; return the unabsorbed tail."""
         rate = self.rate
         end = len(data) - len(data) % rate
         state = self._state
-        # A rate block read little-endian is below 2**(8*rate), so one integer
-        # XOR touches only the state's first rate bytes, never the capacity.
         for start in range(0, end, rate):
-            block = int.from_bytes(data[start:start + rate], "little")
-            state = (int.from_bytes(state, "little") ^ block).to_bytes(KECCAK_STATE_LEN, "little")
-            state = keccak_f1600(state)
-        self._state = state
+            _memxor(state, data[start:start + rate], rate)
+            keccak_f1600(state)
         return data[end:]
 
     def finalize(self, tail: bytes, domain_pad: int) -> None:
         """XOR in ``tail`` under pad10*1 with the given domain byte, and permute."""
+        rate = self.rate
+        # memxor writes len(tail) bytes and the domain byte lands after them, so a
+        # longer tail would reach into the capacity or past the state's end.
+        if len(tail) >= rate:
+            raise ValueError(f"sponge tail must be shorter than the rate {rate}, "
+                             f"got {len(tail)} bytes")
+        # A c_ubyte item would keep only the low 8 bits of a wider domain byte.
+        if not 0 <= domain_pad <= 0xFF:
+            raise ValueError(f"domain byte must be in range(256), got {domain_pad}")
+        state = self._state
+        _memxor(state, tail, len(tail))
         # The domain byte follows the tail; 0x80 lands in the block's last byte.
-        padded = int.from_bytes(tail + bytes([domain_pad]), "little")
-        padded ^= 0x80 << 8 * (self.rate - 1)
-        state = int.from_bytes(self._state, "little") ^ padded
-        self._state = keccak_f1600(state.to_bytes(KECCAK_STATE_LEN, "little"))
+        state[len(tail)] ^= domain_pad
+        state[rate - 1] ^= 0x80
+        keccak_f1600(state)
 
     def squeeze(self, out_len: int) -> bytes:
         """The first ``out_len`` output bytes, one rate block per permutation."""
+        rate = self.rate
         state = self._state
-        out = state[:self.rate]
+        out = bytes(state)[:rate]
         while len(out) < out_len:
-            state = keccak_f1600(state)
-            out += state[:self.rate]
+            keccak_f1600(state)
+            out += bytes(state)[:rate]
         return out[:out_len]
 
 
@@ -180,5 +183,8 @@ def sponge_absorb_squeeze(data: bytes, rate: int, domain_pad: int, out_len: int)
     if out_len <= 0:
         raise ValueError("output length must be positive")
     sponge = KeccakSponge(rate)
-    sponge.finalize(sponge.absorb(data), domain_pad)
+    # memxor's c_char_p takes bytes only, so any bytes-like input is copied
+    # to bytes once here. Through memoryview, an int raises TypeError where
+    # bytes(n) would hash n zero bytes.
+    sponge.finalize(sponge.absorb(bytes(memoryview(data))), domain_pad)
     return sponge.squeeze(out_len)

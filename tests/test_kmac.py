@@ -59,6 +59,11 @@ class TestEncodings:
                 assert len(padded) % w == 0
                 assert padded.startswith(left_encode(w))
 
+    @pytest.mark.parametrize("w", [0, -1, -168])
+    def test_bytepad_rejects_non_positive_width(self, w):
+        with pytest.raises(ValueError, match="bytepad width"):
+            bytepad(b"x", w)
+
     def test_encode_range_check(self):
         with pytest.raises(ValueError):
             left_encode(-1)
@@ -88,6 +93,24 @@ class TestCshake:
     def test_rejects_partial_bytes(self):
         with pytest.raises(ValueError):
             cshake(b"", 255, b"", b"", 168)
+
+    def test_zero_rate_is_a_value_error(self):
+        # With N non-empty, bytepad(..., 0) runs before the sponge's rate check.
+        with pytest.raises(ValueError, match="bytepad width"):
+            cshake(b"m", 256, b"N", b"", 0)
+
+    @pytest.mark.parametrize("wrap", [bytes, bytearray, memoryview])
+    def test_shake_path_takes_bytes_like_messages(self, wrap):
+        # Empty N and S hand the message to the sponge unframed, which copies
+        # any bytes-like input to bytes once for memxor.
+        msg = random.Random(5).randbytes(400)
+        for rate in VALID_RATES:
+            assert cshake(wrap(msg), 256, b"", b"", rate) == cshake(msg, 256, b"", b"", rate)
+
+    def test_shake_path_rejects_an_int_message(self):
+        # bytes(5) would be five zero bytes; the sponge refuses the int instead.
+        with pytest.raises(TypeError):
+            cshake(5, 256, b"", b"", 168)
 
 
 class TestKmac:
@@ -145,6 +168,11 @@ class TestKmac:
     def test_invalid_rate_is_refused_by_the_sponge(self, custom):
         with pytest.raises(ValueError, match="sponge rate"):
             kmac(SAMPLE_KEY, b"m", 256, custom, 100)
+
+    @pytest.mark.parametrize("custom", [b"", b"KDF", b"other"])
+    def test_zero_rate_is_a_value_error(self, custom):
+        with pytest.raises(ValueError, match="bytepad width"):
+            kmac(SAMPLE_KEY, b"m", 256, custom, 0)
 
 
 class TestFraming:

@@ -1,5 +1,6 @@
 """Known-answer and property tests for the primitive adapters."""
 
+import ctypes
 import functools
 import hashlib
 import os
@@ -16,6 +17,8 @@ from kdfkit.primitives import (
     SHA256_BLOCK_LEN,
     SHA256_DIGEST_LEN,
     AesBlockCipher,
+    KeccakSponge,
+    KeccakState,
     keccak_f1600,
     sha256,
     sponge_absorb_squeeze,
@@ -193,22 +196,45 @@ class TestSponge:
         with pytest.raises(ValueError):
             sponge_absorb_squeeze(b"", 168, 0x1F, 0)
 
-    def test_permutation_leaves_input_unchanged(self):
-        state = bytearray(range(200))
-        out = keccak_f1600(state)
-        assert state == bytearray(range(200))
-        assert type(out) is bytes and len(out) == 200 and out != state
+    def test_permutation_runs_in_place(self):
+        state = KeccakState.from_buffer_copy(bytes(range(200)))
+        assert keccak_f1600(state) is None
+        assert bytes(state) != bytes(range(200))
 
     @pytest.mark.parametrize("length", [199, 201])
     def test_permutation_rejects_wrong_state_length(self, length):
-        # Nettle reads and writes 200 bytes, so a shorter buffer would overrun.
-        with pytest.raises(ValueError, match="200 bytes"):
-            keccak_f1600(bytes(length))
+        # Nettle reads and writes 200 bytes, so a shorter buffer would overrun;
+        # ctypes refuses any array but KeccakState before the call.
+        with pytest.raises(ctypes.ArgumentError):
+            keccak_f1600((ctypes.c_ubyte * length)())
 
-    @pytest.mark.parametrize("state", [[0] * 200, "\0" * 200], ids=["list", "str"])
-    def test_permutation_rejects_non_bytes_state(self, state):
-        with pytest.raises(TypeError):
+    @pytest.mark.parametrize("state", [bytes(200), bytearray(200), None, [0] * 200, "\0" * 200],
+                             ids=["bytes", "bytearray", "None", "list", "str"])
+    def test_permutation_rejects_anything_but_a_state(self, state):
+        # The prototype names KeccakState, not a pointer, so None is no NULL.
+        with pytest.raises(ctypes.ArgumentError):
             keccak_f1600(state)
+
+    @pytest.mark.parametrize("rate", [168, 136])
+    def test_finalize_rejects_a_tail_of_a_rate_or_more(self, rate):
+        # memxor would write the tail and the domain byte past the rate block,
+        # and past the state for a long enough tail.
+        for length in (rate, rate + 1):
+            with pytest.raises(ValueError, match="shorter than the rate"):
+                KeccakSponge(rate).finalize(bytes(length), 0x1F)
+
+    @pytest.mark.parametrize("pad", [-1, 0x100, 0x11F])
+    def test_domain_byte_out_of_range(self, pad):
+        with pytest.raises(ValueError, match="domain byte"):
+            sponge_absorb_squeeze(b"", 168, pad, 32)
+
+    def test_big_endian_host_fails_import(self):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; sys.byteorder = 'big'; import kdfkit.primitives"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode != 0
+        assert "ImportError: kdfkit needs a little-endian host" in proc.stderr
 
     @pytest.mark.parametrize("stand_in", [
         "raise OSError('libnettle.so.8: cannot open shared object file')",
@@ -228,7 +254,7 @@ class TestSponge:
                               text=True, timeout=60)
         assert proc.returncode != 0
         assert ("ImportError: kdfkit needs Nettle 3.x as libnettle.so.8, exporting "
-                "nettle_sha3_permute") in proc.stderr
+                "nettle_sha3_permute and nettle_memxor") in proc.stderr
 
     def test_permutation_matches_reference(self):
         # Nettle's permutation against the loop form, lane for lane, each
@@ -237,12 +263,14 @@ class TestSponge:
         states = [[0] * 25, [(1 << 64) - 1] * 25]
         states += [[rng.getrandbits(64) for _ in range(25)] for _ in range(200)]
         for lanes in states:
-            expected = struct.pack("<25Q", *keccak_f1600_reference(lanes))
-            assert keccak_f1600(struct.pack("<25Q", *lanes)) == expected, lanes
+            state = KeccakState.from_buffer_copy(struct.pack("<25Q", *lanes))
+            keccak_f1600(state)
+            assert bytes(state) == struct.pack("<25Q", *keccak_f1600_reference(lanes)), lanes
         # Known answer from the Keccak team's KeccakF-1600 intermediate values:
         # lane 0 after one permutation of the zero state.
-        lane0 = int.from_bytes(keccak_f1600(bytes(200))[:8], "little")
-        assert lane0 == 0xF1258F7940E1DDE7
+        state = KeccakState()
+        keccak_f1600(state)
+        assert int.from_bytes(bytes(state)[:8], "little") == 0xF1258F7940E1DDE7
 
     @pytest.mark.parametrize("rate", [168, 136])
     @pytest.mark.parametrize("pad", [0x1F, 0x04])
