@@ -38,7 +38,7 @@ def cmac(key: bytes, msg: bytes) -> bytes:
     for start in range(0, last, AES_BLOCK_LEN):
         block = chain ^ int.from_bytes(msg[start:start + AES_BLOCK_LEN], "big")
         chain = int.from_bytes(cipher.encrypt_block(block.to_bytes(AES_BLOCK_LEN, "big")), "big")
-    tail = msg[last:]
+    tail = b"" + msg[last:]  # bytes, also for a memoryview msg
     if len(tail) == AES_BLOCK_LEN:
         mask = k1
     else:

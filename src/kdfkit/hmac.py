@@ -19,5 +19,7 @@ def hmac(key: bytes, msg: bytes) -> bytes:
     """One-shot HMAC-SHA256 tag of ``msg`` under ``key``; 32 bytes."""
     if len(key) > SHA256_BLOCK_LEN:
         key = sha256(key)
-    k0 = key.ljust(SHA256_BLOCK_LEN, b"\x00")
+    # b"" + key is key itself for bytes and a bytes copy of a bytearray or
+    # memoryview; bytes(key) costs a type call (~0.15 µs) even for bytes.
+    k0 = (b"" + key).ljust(SHA256_BLOCK_LEN, b"\x00")
     return sha256(k0.translate(_OPAD_TABLE) + sha256(k0.translate(_IPAD_TABLE) + msg))

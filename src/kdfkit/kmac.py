@@ -59,7 +59,9 @@ def cshake(msg: bytes, out_len_bits: int, n: bytes, s: bytes, rate: int) -> byte
         raise ValueError("output length must be a positive whole number of bytes")
     out_len = out_len_bits // 8
     if not n and not s:
-        return sponge_absorb_squeeze(msg, rate, SHAKE_PAD, out_len)
+        # The sponge takes bytes only, and this branch alone passes msg unframed;
+        # b"" + msg is msg itself for bytes and a copy of any other bytes-like.
+        return sponge_absorb_squeeze(b"" + msg, rate, SHAKE_PAD, out_len)
     prefix = bytepad(encode_string(n) + encode_string(s), rate)
     return sponge_absorb_squeeze(prefix + msg, rate, CSHAKE_PAD, out_len)
 
@@ -84,7 +86,7 @@ def kmac(key: bytes, msg: bytes, out_len_bits: int, customization: bytes, rate: 
         raise ValueError("output length must be a positive whole number of bytes")
     try:
         prefix = _KMAC_PREFIXES[customization, rate]
-    except (KeyError, TypeError):  # another S or rate, or an unhashable bytearray S
+    except (KeyError, TypeError, ValueError):  # another S or rate, or an unhashable S
         prefix = bytepad(encode_string(FUNCTION_NAME) + encode_string(customization), rate)
     key_block = (_RATE_HEADERS.get(rate) or left_encode(rate)) + encode_string(key)
     fill = bytes(-len(key_block) % rate)

@@ -100,24 +100,19 @@ if sys.byteorder != "little":
 # Loaded by soname: ctypes.util.find_library would run ldconfig in a subprocess.
 # Both prototypes name KeccakState itself, not a pointer to it, so ctypes
 # refuses anything but a 200-byte state (bytes, a shorter array, None) before
-# Nettle can read or write past it.
+# Nettle can read or write past it. keccak_f1600(state) is Nettle's function
+# itself: one Keccak-f[1600] permutation of ``state``, in place.
 try:
     _nettle = ctypes.CDLL("libnettle.so.8")
-    _sha3_permute = ctypes.CFUNCTYPE(None, KeccakState)(("nettle_sha3_permute", _nettle))
+    keccak_f1600 = ctypes.CFUNCTYPE(None, KeccakState)(("nettle_sha3_permute", _nettle))
     _memxor = ctypes.CFUNCTYPE(None, KeccakState, ctypes.c_char_p, ctypes.c_size_t)(
         ("nettle_memxor", _nettle))
-    _version = ctypes.CFUNCTYPE(ctypes.c_int)
-    NETTLE_VERSION = (f"{_version(('nettle_version_major', _nettle))()}."
-                      f"{_version(('nettle_version_minor', _nettle))()}")
+    # int nettle_version_major(void): ctypes' default restype is already c_int.
+    NETTLE_VERSION = f"{_nettle.nettle_version_major()}.{_nettle.nettle_version_minor()}"
 except (OSError, AttributeError) as exc:
     raise ImportError(
         "kdfkit needs Nettle 3.x as libnettle.so.8, exporting nettle_sha3_permute "
         f"and nettle_memxor for Keccak-f[1600]: {exc}") from None
-
-
-def keccak_f1600(state: KeccakState) -> None:
-    """One Keccak-f[1600] permutation of ``state``, in place."""
-    _sha3_permute(state)
 
 
 class KeccakSponge:
@@ -178,13 +173,10 @@ def sponge_absorb_squeeze(data: bytes, rate: int, domain_pad: int, out_len: int)
     """One-shot sponge: pad10*1 with ``domain_pad``, absorb at ``rate``, squeeze.
 
     ``domain_pad`` is 0x1F for SHAKE and 0x04 for cSHAKE with non-empty
-    framing. Output is prefix-stable in ``out_len``.
+    framing. Output is prefix-stable in ``out_len``. ``data`` must be ``bytes``.
     """
     if out_len <= 0:
         raise ValueError("output length must be positive")
     sponge = KeccakSponge(rate)
-    # memxor's c_char_p takes bytes only, so any bytes-like input is copied
-    # to bytes once here. Through memoryview, an int raises TypeError where
-    # bytes(n) would hash n zero bytes.
-    sponge.finalize(sponge.absorb(bytes(memoryview(data))), domain_pad)
+    sponge.finalize(sponge.absorb(data), domain_pad)
     return sponge.squeeze(out_len)

@@ -22,10 +22,8 @@ Hex is case-insensitive on input; all output is lowercase. The bundled file
 """
 
 import json
-from collections.abc import Mapping
 from importlib import resources
 from pathlib import Path
-from types import MappingProxyType
 from typing import NamedTuple
 
 from . import cmac as cmac_mod
@@ -43,9 +41,7 @@ class VectorCase(NamedTuple):
     key: bytes
     msg: bytes
     expect: bytes
-    # A NamedTuple default is one object shared by every instance, so it must
-    # be read-only; parse_cases passes each case's own parsed dict.
-    params: Mapping = MappingProxyType({})
+    params: dict
 
 
 class CaseResult(NamedTuple):

@@ -77,6 +77,12 @@ class TestCmac:
             msg[-1] ^= rng.randrange(1, 256)
             assert cmac(key, bytes(msg)) != tag
 
+    @pytest.mark.parametrize("wrap", [bytearray, memoryview])
+    @pytest.mark.parametrize("length, expect", RFC4493_EXAMPLES)
+    def test_bytes_like_message(self, wrap, length, expect):
+        # Empty, one complete block, a short last block, complete last block.
+        assert cmac(RFC4493_KEY, wrap(RFC4493_MSG[:length])).hex() == expect
+
     @pytest.mark.parametrize("key_len", [0, 15, 24, 32])
     def test_invalid_key_length(self, key_len):
         with pytest.raises(ValueError):

@@ -58,6 +58,17 @@ class TestHmac:
             msg = rng.randbytes(40)
             assert hmac(key, msg) == hmac(key + bytes(64 - key_len), msg)
 
+    @pytest.mark.parametrize("wrap", [bytearray, memoryview])
+    def test_bytes_like_key_and_message(self, wrap):
+        # Short, block-length and hashed-first keys.
+        rng = random.Random(0xB7E5)
+        msg = rng.randbytes(100)
+        for key_len in (0, 20, 64, 65, 131):
+            key = rng.randbytes(key_len)
+            assert hmac(wrap(key), msg) == hmac(key, msg), key_len
+            assert hmac(key, wrap(msg)) == hmac(key, msg), key_len
+            assert hmac(wrap(key), wrap(msg)) == hmac(key, msg), key_len
+
     def test_single_bit_flip_changes_tag(self):
         rng = random.Random(1337)
         msg = bytearray(rng.randbytes(200))

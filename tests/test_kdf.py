@@ -53,6 +53,23 @@ def manual_ieee(key, i_value, j_value, purpose):
     return out
 
 
+def aes_ecb_ieee(key, i_value, j_value, purpose):
+    """The counter blocks pad || i || j || [1..3]_32 through the library's AES-ECB, XORed back.
+
+    Built by concatenation, so maximal indices also check that the 128-bit
+    sum in ``ieee_kdf`` never carries.
+    """
+    pad = SIGNING_PAD if purpose == PURPOSE_SIGNING else ENCRYPTION_PAD
+    blocks = b"".join(pad + i_value + j_value + n.to_bytes(4, "big") for n in (1, 2, 3))
+    encrypted = Cipher(algorithms.AES(key), modes.ECB()).encryptor().update(blocks)
+    return bytes(a ^ b for a, b in zip(encrypted, blocks))
+
+
+def counter_fixed(msg, out_len):
+    """``counter_kdf``'s fixed input: "KDF" || 0x00 || msg || [L]_32, L in bytes."""
+    return b"KDF\x00" + msg + out_len.to_bytes(4, "big")
+
+
 def kbkdf(prf, key, out_len, label=None, context=None, fixed=None):
     """SP 800-108 counter mode from ``cryptography``: r = 4, counter before the fixed input.
 
@@ -114,7 +131,7 @@ class TestCounterKdf:
                 key = rng.randbytes(16)
                 msg = rng.randbytes(rng.randrange(0, 64))
                 out = counter_kdf(prf, key, msg, out_len)
-                fixed = b"KDF\x00" + msg + out_len.to_bytes(4, "big")
+                fixed = counter_fixed(msg, out_len)
                 assert out == kbkdf(prf, key, out_len, fixed=fixed), (out_len, msg.hex())
                 assert out != kbkdf(prf, key, out_len, label=b"KDF", context=msg)
 
@@ -126,7 +143,7 @@ class TestCounterKdf:
         rng = random.Random(out_len + prf.block_len)
         key = rng.randbytes(16)
         msg = rng.randbytes(32)
-        fixed = b"KDF\x00" + msg + out_len.to_bytes(4, "big")
+        fixed = counter_fixed(msg, out_len)
         assert counter_kdf(prf, key, msg, out_len) == kbkdf(prf, key, out_len, fixed=fixed)
 
     def test_hmac_accepts_any_key_length(self):
@@ -215,18 +232,13 @@ class TestIeeeKdf:
 
     @pytest.mark.parametrize("purpose", [PURPOSE_SIGNING, PURPOSE_ENCRYPTION])
     def test_matches_library_aes_ecb(self, purpose):
-        # The counter blocks are built by concatenation, pad || i || j || [1..3]_32,
-        # so maximal indices also check that the 128-bit sum never carries.
-        pad = SIGNING_PAD if purpose == PURPOSE_SIGNING else ENCRYPTION_PAD
         rng = random.Random(1609)
         indices = [(b"\xff" * 4, b"\xff" * 4), (bytes(4), bytes(4))]
         indices += [(rng.randbytes(4), rng.randbytes(4)) for _ in range(20)]
         for i_value, j_value in indices:
             key = rng.randbytes(16)
-            blocks = b"".join(pad + i_value + j_value + n.to_bytes(4, "big") for n in (1, 2, 3))
-            encrypted = Cipher(algorithms.AES(key), modes.ECB()).encryptor().update(blocks)
-            expect = bytes(a ^ b for a, b in zip(encrypted, blocks))
-            assert ieee_kdf(key, i_value, j_value, purpose) == expect, (i_value, j_value)
+            assert ieee_kdf(key, i_value, j_value, purpose) == \
+                aes_ecb_ieee(key, i_value, j_value, purpose), (i_value, j_value)
 
     @pytest.mark.parametrize("i_len, j_len", [(3, 4), (4, 3), (0, 4), (4, 8)])
     def test_index_lengths_validated(self, i_len, j_len):

@@ -107,6 +107,13 @@ class TestCshake:
         for rate in VALID_RATES:
             assert cshake(wrap(msg), 256, b"", b"", rate) == cshake(msg, 256, b"", b"", rate)
 
+    @pytest.mark.parametrize("wrap", [bytearray, memoryview])
+    def test_cshake_path_takes_bytes_like_messages(self, wrap):
+        # With N or S set, the framed prefix + msg is a fresh bytes object.
+        msg = random.Random(6).randbytes(400)
+        for rate in VALID_RATES:
+            assert cshake(wrap(msg), 256, b"N", b"S", rate) == cshake(msg, 256, b"N", b"S", rate)
+
     def test_shake_path_rejects_an_int_message(self):
         # bytes(5) would be five zero bytes; the sponge refuses the int instead.
         with pytest.raises(TypeError):
@@ -190,6 +197,14 @@ class TestFraming:
             assert (b"", rate) in kmac_mod._KMAC_PREFIXES
 
     @pytest.mark.parametrize("wrap", [bytearray, memoryview])
+    def test_bytes_like_key_and_message(self, wrap):
+        msg = random.Random(7).randbytes(400)
+        assert kmac(wrap(SAMPLE_KEY), wrap(msg), 256, b"", RATE_128) == \
+            kmac(SAMPLE_KEY, msg, 256, b"", RATE_128)
+
+    @pytest.mark.parametrize("wrap", [
+        bytearray, memoryview,
+        pytest.param(lambda s: memoryview(bytearray(s)), id="writable-memoryview")])
     def test_bytes_like_customization(self, wrap):
         for custom in (b"", KDF_LABEL, TAGGED_APP):
             assert kmac(SAMPLE_KEY, b"m", 256, wrap(custom), RATE_128) == \

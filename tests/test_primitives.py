@@ -196,6 +196,15 @@ class TestSponge:
         with pytest.raises(ValueError):
             sponge_absorb_squeeze(b"", 168, 0x1F, 0)
 
+    @pytest.mark.parametrize("wrap", [bytearray, memoryview, lambda data: data.decode("latin-1")],
+                             ids=["bytearray", "memoryview", "str"])
+    @pytest.mark.parametrize("length", [0, 100, 400])
+    def test_absorbs_bytes_only(self, wrap, length):
+        # The sponge absorbs its input as given, with no copy to bytes:
+        # memxor's c_char_p refuses anything else rather than hash other bytes.
+        with pytest.raises((ctypes.ArgumentError, TypeError)):
+            sponge_absorb_squeeze(wrap(bytes(length)), 168, 0x1F, 32)
+
     def test_permutation_runs_in_place(self):
         state = KeccakState.from_buffer_copy(bytes(range(200)))
         assert keccak_f1600(state) is None

@@ -3,12 +3,9 @@
 import json
 
 import pytest
-from cryptography.hazmat.primitives import hashes
-from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
-from cryptography.hazmat.primitives.kdf.kbkdf import (KBKDFCMAC, KBKDFHMAC, CounterLocation,
-                                                      Mode)
 
 from kdfkit import kdf, kmac, vectors
+from test_kdf import aes_ecb_ieee, counter_fixed, kbkdf
 
 
 # Ids the bundled file must carry, one or more per standard; the acceptance
@@ -64,14 +61,6 @@ class TestRunner:
         assert not results[0].passed
         assert results[0].got == case.expect
 
-    def test_default_params_are_empty_and_read_only(self):
-        # The default is one object shared by every case built without params.
-        case = vectors.VectorCase(id="x", construction="sha256", key=b"", msg=b"",
-                                  expect=b"")
-        assert dict(case.params) == {}
-        with pytest.raises(TypeError):
-            case.params["L"] = 256
-
     def test_parsed_params_are_the_file_dict(self):
         (case,) = vectors.parse_cases([{"construction": "kmac128", "expect": "00",
                                         "params": {"L": 8}}])
@@ -80,24 +69,9 @@ class TestRunner:
 
     def test_unknown_construction_rejected(self):
         case = vectors.VectorCase(id="x", construction="rot13", key=b"", msg=b"",
-                                  expect=b"\x00")
+                                  expect=b"\x00", params={})
         with pytest.raises(ValueError):
             vectors.run_cases([case])
-
-
-def _kbkdf_expect(kbkdf_cls, prf, key, msg, out_len):
-    """SP 800-108 counter mode from ``cryptography``: r = 4, counter before the fixed input."""
-    fixed = b"KDF\x00" + msg + out_len.to_bytes(4, "big")  # [L] in bytes, as counter_kdf
-    return kbkdf_cls(prf, Mode.CounterMode, out_len, 4, None, CounterLocation.BeforeFixed,
-                     None, None, fixed).derive(key)
-
-
-def _ieee_signing_expect(key, i_value, j_value):
-    """AES-ECB over the three counter blocks pad || i || j || 0^32 + 1..3, XORed back."""
-    base = int.from_bytes(bytes(4) + i_value + j_value + bytes(4), "big")
-    blocks = b"".join(((base + i) % (1 << 128)).to_bytes(16, "big") for i in (1, 2, 3))
-    encrypted = Cipher(algorithms.AES(key), modes.ECB()).encryptor().update(blocks)
-    return bytes(a ^ b for a, b in zip(encrypted, blocks))
 
 
 KEY16 = bytes(range(16))
@@ -115,13 +89,13 @@ UNBUNDLED_CASES = [
     ("kmac256", KMAC_KEY, MSG, {"L": 392, "S": "4b4d4143"},
      lambda: kmac.kmac256(KMAC_KEY, MSG, 392, b"KMAC")),
     ("ctr_kdf_hmac", KEY16, MSG, {"L": 70},
-     lambda: _kbkdf_expect(KBKDFHMAC, hashes.SHA256(), KEY16, MSG, 70)),
+     lambda: kbkdf(kdf.PrfChoice.HMAC_SHA256, KEY16, 70, fixed=counter_fixed(MSG, 70))),
     ("ctr_kdf_cmac", KEY16, MSG, {"L": 40},
-     lambda: _kbkdf_expect(KBKDFCMAC, algorithms.AES, KEY16, MSG, 40)),
+     lambda: kbkdf(kdf.PrfChoice.CMAC_AES128, KEY16, 40, fixed=counter_fixed(MSG, 40))),
     ("kmac_kdf", KMAC_KEY, MSG, {"L": 384}, lambda: kdf.kmac_kdf(KMAC_KEY, MSG, 384)),
     ("ieee_kdf", KEY16, b"", {"i": "0000002a", "j": "ffffffff", "U": 1},
-     lambda: _ieee_signing_expect(KEY16, bytes.fromhex("0000002a"),
-                                  bytes.fromhex("ffffffff"))),
+     lambda: aes_ecb_ieee(KEY16, bytes.fromhex("0000002a"), bytes.fromhex("ffffffff"),
+                          kdf.PURPOSE_SIGNING)),
 ]
 
 
