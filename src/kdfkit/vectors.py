@@ -22,7 +22,6 @@ Hex is case-insensitive on input; all output is lowercase. The bundled file
 """
 
 import json
-from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
 
@@ -51,7 +50,7 @@ class CaseResult(NamedTuple):
 
 
 def bundled_vector_path() -> Path:
-    return Path(resources.files("kdfkit").joinpath("data", BUNDLED_VECTOR_FILE))
+    return Path(__file__).parent / "data" / BUNDLED_VECTOR_FILE
 
 
 def _hex_bytes(value, label):
@@ -93,7 +92,11 @@ def parse_cases(raw) -> list:
 
 def load_vector_file(path) -> list:
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_cases(json.load(handle))
+        try:
+            raw = json.load(handle)
+        except RecursionError:
+            raise ValueError("JSON nested too deeply") from None
+    return parse_cases(raw)
 
 
 def compute_case(case: VectorCase) -> bytes:

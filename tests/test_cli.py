@@ -202,6 +202,15 @@ class TestSelftest:
         code, _, _ = run_cli(capsys, "selftest", "--vectors", str(bad))
         assert code == 2
 
+    def test_deeply_nested_file_exits_2(self, capsys, tmp_path):
+        # json.load raises RecursionError, not ValueError, past its nesting limit.
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000)
+        code, out, err = run_cli(capsys, "selftest", "--vectors", str(deep))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot load vector file {deep}: ")
+
     @pytest.mark.parametrize("vector_file, args, named", [
         (None, ["--filter", "cmca"], "'cmca'"),
         ("[]", [], "empty.json"),

@@ -21,7 +21,7 @@ from kdfkit.kmac import (
     right_encode,
 )
 from kdfkit.primitives import RATE_128, RATE_256, VALID_RATES
-from openssl_kmac import load, openssl_kmac
+from oracles import load_openssl, needs, openssl_kmac
 
 SAMPLE_KEY = bytes(range(0x40, 0x60))
 LONG_MSG = bytes(range(200))
@@ -101,8 +101,8 @@ class TestCshake:
 
     @pytest.mark.parametrize("wrap", [bytes, bytearray, memoryview])
     def test_shake_path_takes_bytes_like_messages(self, wrap):
-        # Empty N and S hand the message to the sponge unframed, which copies
-        # any bytes-like input to bytes once for memxor.
+        # Empty N and S pass the message unframed; cshake's b"" + msg hands the
+        # sponge a bytes copy of any other bytes-like input.
         msg = random.Random(5).randbytes(400)
         for rate in VALID_RATES:
             assert cshake(wrap(msg), 256, b"", b"", rate) == cshake(msg, 256, b"", b"", rate)
@@ -115,7 +115,7 @@ class TestCshake:
             assert cshake(wrap(msg), 256, b"N", b"S", rate) == cshake(msg, 256, b"N", b"S", rate)
 
     def test_shake_path_rejects_an_int_message(self):
-        # bytes(5) would be five zero bytes; the sponge refuses the int instead.
+        # bytes(5) would be five zero bytes; cshake's b"" + msg refuses the int instead.
         with pytest.raises(TypeError):
             cshake(5, 256, b"", b"", 168)
 
@@ -279,13 +279,8 @@ class TestSpongePasses:
 ORACLE_KEY_LENS = (4, 5, 32, 131, 132, 135, 136, 137, 163, 164, 167, 168, 169)
 
 
+@needs(load_openssl)
 class TestOpensslOracle:
-    @pytest.fixture(scope="class", autouse=True)
-    def _needs_openssl(self):
-        _, reason = load()
-        if reason is not None:
-            pytest.skip(reason)
-
     @pytest.mark.parametrize("name, bits, call", [
         ("kmac128", 128, lambda key, msg, out_len, s: kmac128(key, msg, 8 * out_len, s)),
         ("kmac256", 256, lambda key, msg, out_len, s: kmac256(key, msg, 8 * out_len, s)),
