@@ -6,8 +6,9 @@ Three families:
   AES-128-CMAC as the pluggable PRF
 * KMAC-based KDF: KMAC128 with customization string "KDF"
 * the IEEE 1609.2.1 counter KDF used for butterfly key expansion, built
-  directly on AES-128 in ECB fashion; its counter never wraps, since the
-  base block ends in 32 zero bits and only 1..3 is added
+  directly on the AES-128 block function of each counter block; its counter
+  never wraps, since the base block ends in 32 zero bits and only 1..3 is
+  added
 
 All functions are pure; no derived material is cached.
 """
@@ -83,9 +84,11 @@ def ieee_kdf(key: bytes, i_value: bytes, j_value: bytes, purpose: int) -> bytes:
     The base block is pad(purpose) || i_value || j_value || 0x00000000; for
     i in 1..3 the block plus i (as a 128-bit big-endian integer) is encrypted
     with AES-128 and XORed back onto itself. The sum never wraps: the base's
-    low 32 bits are zero, so adding 1..3 cannot carry out of 128 bits. AES
-    runs in raw ECB fashion here by construction; the inputs are public
-    indices, not secrets.
+    low 32 bits are zero, so adding 1..3 cannot carry out of 128 bits. Each
+    counter block goes through the AES block function alone, by construction;
+    the inputs are public indices, not secrets. ``AesBlockCipher`` chains in
+    CBC mode, so each block is sent XORed with the previous ciphertext, which
+    cancels the chain.
     """
     if len(i_value) != IEEE_INDEX_LEN or len(j_value) != IEEE_INDEX_LEN:
         raise ValueError(f"i_value and j_value must be {IEEE_INDEX_LEN} bytes each")
@@ -98,8 +101,9 @@ def ieee_kdf(key: bytes, i_value: bytes, j_value: bytes, purpose: int) -> bytes:
     cipher = AesBlockCipher(key)
     base = int.from_bytes(pad + i_value + j_value + bytes(4), "big")
     out = bytearray()
+    chain = 0  # a fresh cipher's chain is its zero IV
     for i in (1, 2, 3):
         counter = base + i
-        encrypted = cipher.encrypt_block(counter.to_bytes(16, "big"))
-        out += (int.from_bytes(encrypted, "big") ^ counter).to_bytes(16, "big")
+        chain = int.from_bytes(cipher.encrypt_block((counter ^ chain).to_bytes(16, "big")), "big")
+        out += (chain ^ counter).to_bytes(16, "big")
     return bytes(out)

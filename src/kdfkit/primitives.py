@@ -2,7 +2,8 @@
 
 Three primitives back every construction in this package:
 
-* AES-128 forward block cipher (FIPS 197), via the ``cryptography`` package
+* AES-128 forward block cipher (FIPS 197) in CBC mode with a zero IV (SP
+  800-38A), via the ``cryptography`` package
 * SHA-256 (FIPS 180-4), via ``hashlib``
 * the Keccak-f[1600] permutation (FIPS 202), via ``nettle_sha3_permute`` in
   the system Nettle (``libnettle.so.8``), bound through ``ctypes``
@@ -20,7 +21,7 @@ import sys
 import cryptography
 from cryptography.hazmat.bindings._rust import openssl as _rust_openssl
 from cryptography.hazmat.primitives.ciphers.algorithms import AES
-from cryptography.hazmat.primitives.ciphers.modes import ECB
+from cryptography.hazmat.primitives.ciphers.modes import CBC
 
 AES_BLOCK_LEN = 16
 AES_KEY_LEN = 16
@@ -39,8 +40,9 @@ SHAKE_PAD = 0x1F
 CSHAKE_PAD = 0x04
 
 
-# ECB carries no per-key state, so every key setup shares one mode object.
-_ECB = ECB()
+# Every key setup shares one zero-IV CBC mode object: the context copies the
+# IV, and a fresh ``CBC(iv)`` with its IV type check costs ~0.4 µs.
+_CBC = CBC(bytes(AES_BLOCK_LEN))
 
 # The factory that ``Cipher(...).encryptor()`` ends in. Missing, it fails the
 # import here rather than at the first key setup.
@@ -59,22 +61,29 @@ def sha256(data: bytes) -> bytes:
 
 
 class AesBlockCipher:
-    """AES-128 forward cipher bound to one key, for repeated block calls."""
+    """AES-128 in CBC mode with a zero IV, bound to one key, one block per call.
+
+    ``encrypt_block(block)`` returns AES(key, block XOR the previous call's
+    output); the first call on a fresh cipher is plain AES. CMAC's chain thus
+    runs in OpenSSL; a caller that needs plain AES on a later block XORs the
+    previous output into it first, which cancels the chain.
+    """
 
     def __init__(self, key: bytes):
         if len(key) != AES_KEY_LEN:
             raise ValueError(f"AES-128 key must be {AES_KEY_LEN} bytes, got {len(key)}")
-        # ECB has no chaining state, so one streaming encryptor can serve
-        # any number of independent 16-byte blocks. The context comes straight
-        # from the factory, skipping only ``Cipher``'s argument checks: the
-        # algorithm and mode types, ECB's AES key size and the AEAD tag. The
-        # mode and tag checks each look up a class on the ``modes`` module
-        # through cryptography's deprecation wrapper (~2.4 µs each), as a
-        # per-call ``algorithms.AES`` would. With AES, a 16-byte key and _ECB
-        # none of the checks can fail; AES(key) still validates the key.
-        self._encryptor = _create_encryption_ctx(AES(key), _ECB)
+        # The context comes straight from the factory, skipping only
+        # ``Cipher``'s argument checks: the algorithm and mode types, the IV
+        # and key sizes and the AEAD tag. The mode and tag checks each look up
+        # a class on the ``modes`` module through cryptography's deprecation
+        # wrapper (~2.4 µs each), as a per-call ``algorithms.AES`` would. With
+        # AES, a 16-byte key and _CBC's 16-byte IV none of the checks can
+        # fail; AES(key) still validates the key.
+        self._encryptor = _create_encryption_ctx(AES(key), _CBC)
 
     def encrypt_block(self, block: bytes) -> bytes:
+        # The context would buffer a partial block and shift the chain, so
+        # anything but one whole block is refused before it gets there.
         if len(block) != AES_BLOCK_LEN:
             raise ValueError(f"AES block must be {AES_BLOCK_LEN} bytes, got {len(block)}")
         return self._encryptor.update(block)

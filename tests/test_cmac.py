@@ -20,11 +20,16 @@ RFC4493_EXAMPLES = [
     (40, "dfa66747de9ae63030ca32611497c827"),
     (64, "51f0bebf7e3b9d92fc49741779363cfe"),
 ]
+# Empty, short, whole, and one past one and two blocks, then 4 KiB.
+EDGE_LENGTHS = [0, 15, 16, 17, 32, 33, 4096]
 
 
 class TestDbl:
     def test_rfc4493_subkey_chain(self):
-        k1, k2 = _subkeys(AesBlockCipher(RFC4493_KEY))
+        # L = AES-128(key, 0^128) as RFC 4493 section 4 lists it.
+        l_value = 0x7df76b0c1ab899b33e42f047b91b546f
+        assert AesBlockCipher(RFC4493_KEY).encrypt_block(bytes(16)) == l_value.to_bytes(16, "big")
+        k1, k2 = _subkeys(l_value)
         assert k1 == 0xfbeed618357133667c85e08f7236a8de
         assert k2 == 0xf7ddac306ae266ccf90bc11ee46d513b
 
@@ -82,6 +87,33 @@ class TestCmac:
     def test_bytes_like_message(self, wrap, length, expect):
         # Empty, one complete block, a short last block, complete last block.
         assert cmac(RFC4493_KEY, wrap(RFC4493_MSG[:length])).hex() == expect
+
+    @pytest.mark.parametrize("wrap", [bytearray, memoryview])
+    @pytest.mark.parametrize("length", EDGE_LENGTHS)
+    def test_bytes_like_message_at_block_edges(self, wrap, length):
+        # Block 0, the middle blocks and the last block are sliced apart.
+        msg = random.Random(length).randbytes(length)
+        assert cmac(RFC4493_KEY, wrap(msg)) == cmac(RFC4493_KEY, msg)
+
+    @pytest.mark.parametrize("length", EDGE_LENGTHS)
+    def test_one_key_setup_and_one_block_call_per_block(self, monkeypatch, length):
+        # L, then one call per message block (an empty message is one padded
+        # block): the count perfbench's aes_block ledger pins.
+        calls = {"setup": 0, "block": 0}
+        init, encrypt_block = AesBlockCipher.__init__, AesBlockCipher.encrypt_block
+
+        def counting_init(cipher, key):
+            calls["setup"] += 1
+            init(cipher, key)
+
+        def counting_block(cipher, block):
+            calls["block"] += 1
+            return encrypt_block(cipher, block)
+
+        monkeypatch.setattr(AesBlockCipher, "__init__", counting_init)
+        monkeypatch.setattr(AesBlockCipher, "encrypt_block", counting_block)
+        cmac(RFC4493_KEY, bytes(length))
+        assert calls == {"setup": 1, "block": 1 + max(1, -(-length // 16))}
 
     @pytest.mark.parametrize("key_len", [0, 15, 24, 32])
     def test_invalid_key_length(self, key_len):

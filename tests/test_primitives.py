@@ -31,6 +31,11 @@ def _aes(key, block):
     return AesBlockCipher(key).encrypt_block(block)
 
 
+def _cbc_reference(key, chain, block):
+    """The next CBC output: reference AES of ``block`` XOR the last output."""
+    return aes128_encrypt_block(key, bytes(a ^ b for a, b in zip(chain, block)))
+
+
 class TestAes:
     def test_fips197_appendix_c1(self):
         key = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
@@ -56,14 +61,33 @@ class TestAes:
             assert _aes(key, pt) == aes128_encrypt_block(key, pt)
 
     def test_interleaved_keys_vs_oracle(self):
-        # Every cipher shares one ECB mode object; blocks sent round-robin
-        # across live ciphers show that no key's state leaks into another's.
+        # Each cipher is a CBC chain with a zero IV over one shared mode
+        # object; blocks sent round-robin across live ciphers, each checked
+        # against its own key's reference chain, show that no key's state
+        # leaks into another's.
         rng = random.Random(0xEC8)
         keys = [rng.randbytes(16) for _ in range(8)]
         ciphers = [AesBlockCipher(key) for key in keys]
+        chains = [bytes(16)] * 8
         for i in range(64):
             pt = rng.randbytes(16)
-            assert ciphers[i % 8].encrypt_block(pt) == aes128_encrypt_block(keys[i % 8], pt)
+            chains[i % 8] = _cbc_reference(keys[i % 8], chains[i % 8], pt)
+            assert ciphers[i % 8].encrypt_block(pt) == chains[i % 8]
+
+    @pytest.mark.parametrize("block_len", [15, 17])
+    def test_bad_block_leaves_chain_intact(self, block_len):
+        # The context would buffer a partial block and shift every later
+        # output; the length check refuses it before it gets there.
+        rng = random.Random(block_len)
+        key = rng.randbytes(16)
+        cipher = AesBlockCipher(key)
+        chain = bytes(16)
+        for _ in range(2):
+            pt = rng.randbytes(16)
+            chain = _cbc_reference(key, chain, pt)
+            assert cipher.encrypt_block(pt) == chain
+            with pytest.raises(ValueError):
+                cipher.encrypt_block(rng.randbytes(block_len))
 
     def test_zero_block_random_key_vs_oracle(self):
         key = random.Random(7).randbytes(16)
