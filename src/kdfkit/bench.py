@@ -215,6 +215,18 @@ def export_results(results: list, fmt: str) -> bytes:
     raise ValueError(f"unknown export format: {fmt}")
 
 
+def _outside_text(value: float, lo: float, hi: float) -> str:
+    """``value`` to the fewest places, at least two, that still read outside [lo, hi].
+
+    1.1977 against [1.2, 5.0] reads 1.198, not 1.20.
+    """
+    for places in range(2, 18):
+        text = f"{value:.{places}f}"
+        if not lo <= float(text) <= hi:
+            return text
+    return repr(value)
+
+
 def ordering_warnings(stats_by_kind: dict) -> list:
     """Soft sanity checks against the expected cost ordering.
 
@@ -238,7 +250,7 @@ def ordering_warnings(stats_by_kind: dict) -> list:
         lo, hi = KMAC_CMAC_RATIO_RANGE
         if not lo <= ratio <= hi:
             warnings.append(
-                f"WARN: KMAC/CMAC mean ratio {ratio:.2f} outside [{lo}, {hi}]")
+                f"WARN: KMAC/CMAC mean ratio {_outside_text(ratio, lo, hi)} outside [{lo}, {hi}]")
 
     kdf_means = {kind: mean(kind) for kind in KDF_KINDS}
     known = {kind: m for kind, m in kdf_means.items() if m is not None}

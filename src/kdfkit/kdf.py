@@ -10,7 +10,9 @@ Three families:
   never wraps, since the base block ends in 32 zero bits and only 1..3 is
   added
 
-All functions are pure; no derived material is cached.
+All functions are pure; no derived material outlives a call. The counter KDF
+with the HMAC PRF builds HMAC's key schedule once per call and drops it on
+return.
 """
 
 import enum
@@ -50,7 +52,8 @@ class PrfChoice(enum.Enum):
     @property
     def mac(self):
         """The MAC ``(key, msg) -> tag``, looked up at each access so that a
-        wrapper put on the module attribute is the one called."""
+        wrapper put on the module attribute is the one called. ``hmac`` also
+        takes an ``HmacKey`` as its key, which ``counter_kdf`` passes."""
         return hmac_mod.hmac if self is PrfChoice.HMAC_SHA256 else cmac_mod.cmac
 
 
@@ -58,7 +61,10 @@ def counter_kdf(prf: PrfChoice, key: bytes, msg: bytes, out_len: int) -> bytes:
     """Counter-mode KDF: concatenated PRF outputs, truncated to ``out_len`` bytes.
 
     Block i (1-based) is PRF(key, counter(i) || "KDF" || 0x00 || msg || enc(out_len))
-    with counter and length as 4-byte big-endian fields.
+    with counter and length as 4-byte big-endian fields. With the HMAC PRF the
+    key schedule (K0 and the two padded SHA-256 states, RFC 2104 section 4) is
+    built once per call, and each block's ``hmac`` copies it; CMAC still sets
+    up its key for every block.
     """
     if out_len < 1:
         raise ValueError("requested output length must be at least 1 byte")
@@ -67,6 +73,8 @@ def counter_kdf(prf: PrfChoice, key: bytes, msg: bytes, out_len: int) -> bytes:
     except OverflowError:
         raise ValueError(f"output length {out_len} does not fit in {FIELD_WIDTH} bytes") from None
     mac = prf.mac
+    if prf is PrfChoice.HMAC_SHA256:
+        key = hmac_mod.hmac_key(key)
     fixed = KDF_LABEL + b"\x00" + msg + length_field
     n_blocks = -(-out_len // prf.block_len)
     return b"".join(mac(key, i.to_bytes(FIELD_WIDTH, "big") + fixed)

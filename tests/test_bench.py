@@ -231,6 +231,14 @@ class TestOrderingWarnings:
         assert "CMAC_KDF" in text
         assert "IEEE_KDF" in text
 
+    @pytest.mark.parametrize("kmac, shown", [(1.1977, "1.198"), (1.1999999, "1.1999999"),
+                                              (0.5, "0.50"), (5.004, "5.004")])
+    def test_ratio_printed_outside_range(self, kmac, shown):
+        # Rounded to two places, 1.1977 would read "1.20 outside [1.2, 5.0]".
+        means = {TargetKind.HMAC: 0.5, TargetKind.CMAC: 1.0, TargetKind.KMAC: kmac}
+        warnings = ordering_warnings({k: self.stats(v) for k, v in means.items()})
+        assert f"WARN: KMAC/CMAC mean ratio {shown} outside [1.2, 5.0]" in warnings
+
     def test_partial_stats_tolerated(self):
         warnings = ordering_warnings({TargetKind.HMAC: self.stats(0.01)})
         assert warnings == []

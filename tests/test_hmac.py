@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from kdfkit.hmac import hmac
+from kdfkit.hmac import HmacKey, hmac, hmac_key
+from test_properties import near
 
 RFC4231_CASES = [
     ("case-1", bytes([0x0B]) * 20, b"Hi There",
@@ -25,6 +26,10 @@ class TestHmac:
     def test_rfc4231(self, name, key, msg, expect):
         assert hmac(key, msg).hex() == expect
 
+    @pytest.mark.parametrize("name, key, msg, expect", RFC4231_CASES)
+    def test_rfc4231_hmac_key(self, name, key, msg, expect):
+        assert hmac(hmac_key(key), msg).hex() == expect
+
     def test_deterministic(self):
         assert hmac(b"k", b"m") == hmac(b"k", b"m")
 
@@ -34,6 +39,13 @@ class TestHmac:
             key = rng.randbytes(rng.randrange(0, 150))
             msg = rng.randbytes(rng.randrange(0, 300))
             assert hmac(key, msg) == stdlib_hmac.new(key, msg, hashlib.sha256).digest()
+
+    def test_matches_stdlib_oracle_hmac_key(self):
+        rng = random.Random(0x48AC)
+        for _ in range(200):
+            key = rng.randbytes(rng.randrange(0, 150))
+            msg = rng.randbytes(rng.randrange(0, 300))
+            assert hmac(hmac_key(key), msg) == stdlib_hmac.new(key, msg, hashlib.sha256).digest()
 
     def test_output_length_sweep(self):
         # full cross product of key lengths 0..=200 and message lengths 0..=300
@@ -80,3 +92,53 @@ class TestHmac:
             msg[pos] ^= bit
             assert hmac(key, bytes(msg)) != baseline
             msg[pos] ^= bit
+
+
+class TestHmacKey:
+    """``hmac`` under an ``HmacKey`` equals the one-shot tag under its key."""
+
+    KEY_LENGTHS = (0, 1, 63, 64, 65, 200)
+
+    def test_key_and_message_edges_match_stdlib(self):
+        # Keys padded, filling the block or hashed first; messages within
+        # 4 B of each SHA-256 block edge.
+        rng = random.Random(0x2104)
+        for key_len in self.KEY_LENGTHS:
+            key = rng.randbytes(key_len)
+            schedule = hmac_key(key)
+            for msg_len in near(0, 64, 128, 192):
+                msg = rng.randbytes(msg_len)
+                expect = stdlib_hmac.new(key, msg, hashlib.sha256).digest()
+                assert hmac(schedule, msg) == hmac(key, msg) == expect, (key_len, msg_len)
+
+    @pytest.mark.parametrize("wrap", [bytearray, memoryview])
+    def test_bytes_like_key_and_message(self, wrap):
+        rng = random.Random(0x4B5C)
+        msg = rng.randbytes(100)
+        for key_len in self.KEY_LENGTHS:
+            key = rng.randbytes(key_len)
+            assert hmac(hmac_key(wrap(key)), msg) == hmac(key, msg), key_len
+            assert hmac(hmac_key(key), wrap(msg)) == hmac(key, msg), key_len
+
+    def test_one_schedule_over_shuffled_messages(self):
+        # Each tag copies the states, so no message leaks into the next tag,
+        # whatever order the messages come in, and the states stay as built.
+        rng = random.Random(0x5EED)
+        key = rng.randbytes(32)
+        schedule = hmac_key(key)
+        pads = (schedule.inner.digest(), schedule.outer.digest())
+        msgs = [rng.randbytes(n) for n in near(0, 64, 128) for _ in range(3)]
+        expect = {msg: hmac(key, msg) for msg in msgs}
+        for _ in range(3):
+            rng.shuffle(msgs)
+            for msg in msgs:
+                assert hmac(schedule, msg) == expect[msg], len(msg)
+        assert (schedule.inner.digest(), schedule.outer.digest()) == pads
+
+    def test_states_absorbed_the_padded_key(self):
+        key = b"Jefe"
+        k0 = key.ljust(64, b"\x00")
+        schedule = hmac_key(key)
+        assert isinstance(schedule, HmacKey)
+        assert schedule.inner.digest() == hashlib.sha256(bytes(b ^ 0x36 for b in k0)).digest()
+        assert schedule.outer.digest() == hashlib.sha256(bytes(b ^ 0x5C for b in k0)).digest()

@@ -12,6 +12,7 @@ from cryptography.hazmat.primitives.kdf.kbkdf import (
     Mode,
 )
 
+import kdfkit.hmac as hmac_mod
 from kdfkit.cmac import cmac
 from kdfkit.hmac import hmac
 from kdfkit.kdf import (
@@ -145,6 +146,42 @@ class TestCounterKdf:
         msg = rng.randbytes(32)
         fixed = counter_fixed(msg, out_len)
         assert counter_kdf(prf, key, msg, out_len) == kbkdf(prf, key, out_len, fixed=fixed)
+
+    @pytest.mark.parametrize("key_len, out_len", [(16, 1), (16, 48), (64, 33), (16, 1024),
+                                                  (65, 64)])
+    def test_one_hmac_schedule_per_call(self, monkeypatch, key_len, out_len):
+        # What perfbench's hmac and sha256 pins mean: one hmac per block, two
+        # digests per block, and one key schedule per call, which hashes a
+        # key longer than a block once. No schedule outlives its call.
+        calls = {"schedule": [], "hmac": [], "sha256": 0}
+        real_key, real_hmac, real_sha256 = hmac_mod.hmac_key, hmac_mod.hmac, hmac_mod.sha256
+
+        def counting_key(key):
+            calls["schedule"].append(real_key(key))
+            return calls["schedule"][-1]
+
+        def counting_hmac(key, msg):
+            calls["hmac"].append(key)
+            return real_hmac(key, msg)
+
+        def counting_sha256(data, prefix=None):
+            calls["sha256"] += 1
+            return real_sha256(data, prefix)
+
+        monkeypatch.setattr(hmac_mod, "hmac_key", counting_key)
+        monkeypatch.setattr(hmac_mod, "hmac", counting_hmac)
+        monkeypatch.setattr(hmac_mod, "sha256", counting_sha256)
+        key = bytes(range(key_len))
+        n_blocks = -(-out_len // 32)
+        for n_calls in (1, 2):
+            calls["hmac"].clear()
+            calls["sha256"] = 0
+            counter_kdf(PrfChoice.HMAC_SHA256, key, b"ctx", out_len)
+            assert len(calls["schedule"]) == n_calls
+            assert len(calls["hmac"]) == n_blocks
+            assert all(schedule is calls["schedule"][-1] for schedule in calls["hmac"])
+            assert calls["sha256"] == 2 * n_blocks + (key_len > 64)
+        assert calls["schedule"][0] is not calls["schedule"][1]
 
     def test_hmac_accepts_any_key_length(self):
         assert len(counter_kdf(PrfChoice.HMAC_SHA256, b"", b"m", 10)) == 10

@@ -21,9 +21,11 @@ from kdfkit.primitives import (
     KeccakState,
     keccak_f1600,
     sha256,
+    sha256_state,
     sponge_absorb_squeeze,
 )
 from reference import aes128_encrypt_block, keccak_f1600_reference, reference_sponge
+from test_properties import near
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -156,6 +158,19 @@ class TestSha256:
     def test_block_and_digest_lengths(self):
         assert SHA256_BLOCK_LEN == 64
         assert len(sha256(b"")) == SHA256_DIGEST_LEN == 32
+
+    def test_prefix_state_at_block_edges(self):
+        # The digest of the prefix's bytes then the data, for both within
+        # 4 B of 0, 64 and 128 B; the prefix itself is never advanced.
+        rng = random.Random(0x180)
+        for prefix_len in near(0, 64, 128):
+            prefix = rng.randbytes(prefix_len)
+            state = sha256_state(prefix)
+            for data_len in near(0, 64, 128):
+                data = rng.randbytes(data_len)
+                assert sha256(data, state) == hashlib.sha256(prefix + data).digest(), \
+                    (prefix_len, data_len)
+                assert state.digest() == hashlib.sha256(prefix).digest()
 
 
 class TestSponge:
