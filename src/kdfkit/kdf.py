@@ -70,8 +70,9 @@ def counter_kdf(prf: PrfChoice, key: bytes, msg: bytes, out_len: int) -> bytes:
         raise ValueError("requested output length must be at least 1 byte")
     try:
         length_field = out_len.to_bytes(FIELD_WIDTH, "big")
-    except OverflowError:
-        raise ValueError(f"output length {out_len} does not fit in {FIELD_WIDTH} bytes") from None
+    except (OverflowError, AttributeError):  # too large, or not an int (a float)
+        raise ValueError(f"output length {out_len!r} is not an int that fits in "
+                         f"{FIELD_WIDTH} bytes") from None
     mac = prf.mac
     if prf is PrfChoice.HMAC_SHA256:
         key = hmac_mod.hmac_key(key)
@@ -106,12 +107,10 @@ def ieee_kdf(key: bytes, i_value: bytes, j_value: bytes, purpose: int) -> bytes:
         pad = ENCRYPTION_PAD
     else:
         raise ValueError(f"purpose must be {PURPOSE_SIGNING} or {PURPOSE_ENCRYPTION}")
-    cipher = AesBlockCipher(key)
-    base = int.from_bytes(pad + i_value + j_value + bytes(4), "big")
-    out = bytearray()
-    chain = 0  # a fresh cipher's chain is its zero IV
-    for i in (1, 2, 3):
-        counter = base + i
-        chain = int.from_bytes(cipher.encrypt_block((counter ^ chain).to_bytes(16, "big")), "big")
-        out += (chain ^ counter).to_bytes(16, "big")
-    return bytes(out)
+    encrypt = AesBlockCipher(key).encrypt_block
+    base = int.from_bytes(pad + i_value + j_value, "big") << 32
+    c1 = int.from_bytes(encrypt((base + 1).to_bytes(AES_BLOCK_LEN, "big")), "big")
+    c2 = int.from_bytes(encrypt((base + 2 ^ c1).to_bytes(AES_BLOCK_LEN, "big")), "big")
+    c3 = int.from_bytes(encrypt((base + 3 ^ c2).to_bytes(AES_BLOCK_LEN, "big")), "big")
+    counters = (base + 1) << 256 | (base + 2) << 128 | base + 3
+    return ((c1 << 256 | c2 << 128 | c3) ^ counters).to_bytes(IEEE_OUTPUT_LEN, "big")

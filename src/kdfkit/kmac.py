@@ -22,7 +22,10 @@ FUNCTION_NAME = b"KMAC"
 def _minimal_bytes(n: int) -> bytes:
     if n < 0 or n >= 1 << 2040:
         raise ValueError(f"value {n} out of encodable range")
-    return n.to_bytes(max(1, (n.bit_length() + 7) // 8), "big")
+    try:
+        return n.to_bytes(max(1, (n.bit_length() + 7) // 8), "big")
+    except AttributeError:  # a float or other non-int that compared as in range
+        raise ValueError(f"value {n!r} is not an int") from None
 
 
 def left_encode(n: int) -> bytes:

@@ -85,6 +85,8 @@ class AesBlockCipher:
     previous output into it first, which cancels the chain.
     """
 
+    __slots__ = ("_encryptor",)
+
     def __init__(self, key: bytes):
         if len(key) != AES_KEY_LEN:
             raise ValueError(f"AES-128 key must be {AES_KEY_LEN} bytes, got {len(key)}")

@@ -199,6 +199,12 @@ class TestCounterKdf:
         with pytest.raises(ValueError):
             counter_kdf(PrfChoice.HMAC_SHA256, KEY, b"", 1 << 32)
 
+    @pytest.mark.parametrize("prf", list(PrfChoice))
+    @pytest.mark.parametrize("out_len", [16.0, 48.0])
+    def test_float_length_rejected(self, prf, out_len):
+        with pytest.raises(ValueError, match="not an int"):
+            counter_kdf(prf, KEY, b"", out_len)
+
 
 class TestKmacKdf:
     def test_equals_kmac_with_kdf_customization(self):
@@ -290,6 +296,24 @@ class TestIeeeKdf:
     def test_key_length_validated(self):
         with pytest.raises(ValueError):
             ieee_kdf(bytes(24), bytes(4), bytes(4), PURPOSE_SIGNING)
+
+    @pytest.mark.parametrize("purpose", [PURPOSE_SIGNING, PURPOSE_ENCRYPTION])
+    def test_one_key_setup_and_three_block_calls(self, aes_calls, purpose):
+        # The counts perfbench's IEEE_KDF aes_key_setup and aes_block ledgers pin.
+        for n in range(1, 4):
+            ieee_kdf(KEY, n.to_bytes(4, "big"), bytes(4), purpose)
+            assert aes_calls == {"setup": n, "block": 3 * n}
+
+    @pytest.mark.parametrize("wrap", [bytearray, memoryview])
+    def test_bytes_like_key_and_indices(self, wrap):
+        rng = random.Random(0x1609)
+        for _ in range(8):
+            key, i_value, j_value = rng.randbytes(16), rng.randbytes(4), rng.randbytes(4)
+            purpose = rng.choice([PURPOSE_SIGNING, PURPOSE_ENCRYPTION])
+            expect = ieee_kdf(key, i_value, j_value, purpose)
+            assert ieee_kdf(wrap(key), wrap(i_value), wrap(j_value), purpose) == expect
+            assert ieee_kdf(wrap(key), i_value, j_value, purpose) == expect
+            assert ieee_kdf(key, wrap(i_value), wrap(j_value), purpose) == expect
 
 
 class TestOutputSmoke:

@@ -68,6 +68,11 @@ class TestEncodings:
         with pytest.raises(ValueError):
             left_encode(-1)
 
+    @pytest.mark.parametrize("encode", [left_encode, right_encode])
+    def test_encode_rejects_a_float(self, encode):
+        with pytest.raises(ValueError, match="not an int"):
+            encode(8.0)
+
 
 class TestCshake:
     def test_empty_framing_falls_back_to_shake(self):
@@ -169,6 +174,15 @@ class TestKmac:
         with pytest.raises(ValueError, match="whole number of bytes"):
             kmac256(SAMPLE_KEY, b"m", bits)
         with pytest.raises(ValueError, match="whole number of bytes"):
+            kmac_kdf(SAMPLE_KEY, b"m", bits)
+
+    @pytest.mark.parametrize("bits", [256.0, 384.0])
+    def test_float_output_bits_is_a_value_error(self, bits):
+        # A float that is a whole number of bytes passes the length check and
+        # reaches right_encode, which needs an int.
+        with pytest.raises(ValueError, match="not an int"):
+            kmac128(SAMPLE_KEY, b"m", bits)
+        with pytest.raises(ValueError, match="not an int"):
             kmac_kdf(SAMPLE_KEY, b"m", bits)
 
     @pytest.mark.parametrize("custom", [b"", b"KDF", b"other"])
