@@ -20,9 +20,10 @@ import enum
 from . import cmac as cmac_mod
 from . import hmac as hmac_mod
 from . import kmac as kmac_mod
-from .primitives import AES_BLOCK_LEN, SHA256_DIGEST_LEN, AesBlockCipher
+from .primitives import AES_BLOCK_LEN, RATE_128, SHA256_DIGEST_LEN, AesBlockCipher
 
 KDF_LABEL = b"KDF"
+_LABEL_FIELD = KDF_LABEL + b"\x00"  # opens every counter block's fixed input
 
 # Byte width of the big-endian counter and length fields in each PRF input.
 FIELD_WIDTH = 4
@@ -40,21 +41,15 @@ IEEE_OUTPUT_LEN = 48
 
 
 class PrfChoice(enum.Enum):
-    """PRF selector for the counter-mode KDF, with output block size B."""
+    """PRF selector for the counter-mode KDF; each value is the PRF's output
+    block size in bytes."""
 
     HMAC_SHA256 = SHA256_DIGEST_LEN
     CMAC_AES128 = AES_BLOCK_LEN
 
-    @property
-    def block_len(self) -> int:
-        return self.value
 
-    @property
-    def mac(self):
-        """The MAC ``(key, msg) -> tag``, looked up at each access so that a
-        wrapper put on the module attribute is the one called. ``hmac`` also
-        takes an ``HmacKey`` as its key, which ``counter_kdf`` passes."""
-        return hmac_mod.hmac if self is PrfChoice.HMAC_SHA256 else cmac_mod.cmac
+_HMAC = PrfChoice.HMAC_SHA256
+_CMAC = PrfChoice.CMAC_AES128
 
 
 def counter_kdf(prf: PrfChoice, key: bytes, msg: bytes, out_len: int) -> bytes:
@@ -64,27 +59,32 @@ def counter_kdf(prf: PrfChoice, key: bytes, msg: bytes, out_len: int) -> bytes:
     with counter and length as 4-byte big-endian fields. With the HMAC PRF the
     key schedule (K0 and the two padded SHA-256 states, RFC 2104 section 4) is
     built once per call, and each block's ``hmac`` copies it; CMAC still sets
-    up its key for every block.
+    up its key for every block. Each call looks the MAC up on its module, so a
+    wrapper put there is the one called. An unknown ``prf`` raises ``ValueError``.
     """
-    if out_len < 1:
-        raise ValueError("requested output length must be at least 1 byte")
     try:
         length_field = out_len.to_bytes(FIELD_WIDTH, "big")
-    except (OverflowError, AttributeError):  # too large, or not an int (a float)
+    except (OverflowError, AttributeError):  # negative or too large, or not an int
         raise ValueError(f"output length {out_len!r} is not an int that fits in "
                          f"{FIELD_WIDTH} bytes") from None
-    mac = prf.mac
-    if prf is PrfChoice.HMAC_SHA256:
-        key = hmac_mod.hmac_key(key)
-    fixed = KDF_LABEL + b"\x00" + msg + length_field
-    n_blocks = -(-out_len // prf.block_len)
-    return b"".join(mac(key, i.to_bytes(FIELD_WIDTH, "big") + fixed)
-                    for i in range(1, n_blocks + 1))[:out_len]
+    if out_len < 1:
+        raise ValueError("requested output length must be at least 1 byte")
+    # Blocks of 32 or 16 bytes, the PrfChoice values, rounded up.
+    if prf is _HMAC:
+        mac, key, n_blocks = hmac_mod.hmac, hmac_mod.hmac_key(key), (out_len + 31) >> 5
+    elif prf is _CMAC:
+        mac, n_blocks = cmac_mod.cmac, (out_len + 15) >> 4
+    else:
+        raise ValueError(f"unknown PRF {prf!r}; choose a PrfChoice")
+    fixed = _LABEL_FIELD + msg + length_field
+    out = b"".join([mac(key, i.to_bytes(FIELD_WIDTH, "big") + fixed)
+                    for i in range(1, n_blocks + 1)])
+    return out if len(out) == out_len else out[:out_len]
 
 
 def kmac_kdf(key: bytes, msg: bytes, out_len_bits: int) -> bytes:
     """KMAC128 with customization "KDF": one sponge pass for any output length."""
-    return kmac_mod.kmac128(key, msg, out_len_bits, KDF_LABEL)
+    return kmac_mod.kmac(key, msg, out_len_bits, KDF_LABEL, RATE_128)
 
 
 def ieee_kdf(key: bytes, i_value: bytes, j_value: bytes, purpose: int) -> bytes:

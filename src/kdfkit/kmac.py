@@ -17,27 +17,31 @@ from .primitives import (CSHAKE_PAD, RATE_128, RATE_256, SHAKE_PAD, VALID_RATES,
                          sponge_absorb_squeeze)
 
 FUNCTION_NAME = b"KMAC"
+_BYTE = tuple(bytes((i,)) for i in range(256))  # the encoders' one-byte counts
 
 
 def _minimal_bytes(n: int) -> bytes:
-    if n < 0 or n >= 1 << 2040:
-        raise ValueError(f"value {n} out of encodable range")
     try:
-        return n.to_bytes(max(1, (n.bit_length() + 7) // 8), "big")
-    except AttributeError:  # a float or other non-int that compared as in range
+        body = n.to_bytes((n.bit_length() + 7) >> 3 or 1, "big")
+    except AttributeError:  # a float or other non-int
         raise ValueError(f"value {n!r} is not an int") from None
+    except OverflowError:  # a negative value
+        raise ValueError(f"value {n} out of encodable range") from None
+    if len(body) > 255:
+        raise ValueError(f"value {n} out of encodable range")
+    return body
 
 
 def left_encode(n: int) -> bytes:
     """Minimal big-endian bytes of ``n`` prefixed with their byte count."""
     body = _minimal_bytes(n)
-    return bytes([len(body)]) + body
+    return _BYTE[len(body)] + body
 
 
 def right_encode(n: int) -> bytes:
     """Minimal big-endian bytes of ``n`` suffixed with their byte count."""
     body = _minimal_bytes(n)
-    return body + bytes([len(body)])
+    return body + _BYTE[len(body)]
 
 
 def encode_string(s: bytes) -> bytes:
@@ -58,9 +62,12 @@ def bytepad(x: bytes, w: int) -> bytes:
 
 def cshake(msg: bytes, out_len_bits: int, n: bytes, s: bytes, rate: int) -> bytes:
     """cSHAKE at the given rate; equals SHAKE when N and S are both empty."""
-    if out_len_bits <= 0 or out_len_bits % 8 != 0:
-        raise ValueError("output length must be a positive whole number of bytes")
-    out_len = out_len_bits // 8
+    try:
+        if out_len_bits <= 0 or out_len_bits & 7:
+            raise ValueError("output length must be a positive whole number of bytes")
+    except TypeError:  # a float, a str or another non-int
+        raise ValueError(f"output length {out_len_bits!r} is not an int") from None
+    out_len = out_len_bits >> 3
     if not n and not s:
         # The sponge takes bytes only, and this branch alone passes msg unframed;
         # b"" + msg is msg itself for bytes and a copy of any other bytes-like.
@@ -91,9 +98,10 @@ def kmac(key: bytes, msg: bytes, out_len_bits: int, customization: bytes, rate: 
         prefix = _KMAC_PREFIXES[customization, rate]
     except (KeyError, TypeError, ValueError):  # another S or rate, or an unhashable S
         prefix = bytepad(encode_string(FUNCTION_NAME) + encode_string(customization), rate)
-    key_block = (_RATE_HEADERS.get(rate) or left_encode(rate)) + encode_string(key)
-    fill = bytes(-len(key_block) % rate)
-    framed = b"".join((prefix, key_block, fill, msg, right_encode(out_len_bits)))
+    # bytepad(encode_string(key), rate) is header || key || zero fill.
+    header = (_RATE_HEADERS.get(rate) or left_encode(rate)) + left_encode(8 * len(key))
+    framed = b"".join((prefix, header, key, bytes(-(len(header) + len(key)) % rate), msg,
+                       right_encode(out_len_bits)))
     return sponge_absorb_squeeze(framed, rate, CSHAKE_PAD, out_len_bits // 8)
 
 

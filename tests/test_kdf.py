@@ -12,6 +12,7 @@ from cryptography.hazmat.primitives.kdf.kbkdf import (
     Mode,
 )
 
+import kdfkit.cmac as cmac_mod
 import kdfkit.hmac as hmac_mod
 from kdfkit.cmac import cmac
 from kdfkit.hmac import hmac
@@ -35,7 +36,7 @@ def manual_counter_blocks(prf, key, msg, out_len):
     """Reconstruct counter-mode output from standalone PRF calls."""
     mac = hmac if prf is PrfChoice.HMAC_SHA256 else cmac
     blocks = []
-    n = -(-out_len // prf.block_len)
+    n = -(-out_len // prf.value)
     for i in range(1, n + 1):
         block_input = (i.to_bytes(4, "big") + b"KDF" + b"\x00" + msg
                        + out_len.to_bytes(4, "big"))
@@ -113,7 +114,7 @@ class TestCounterKdf:
 
     @pytest.mark.parametrize("prf", list(PrfChoice))
     def test_blockwise_oracle_equivalence(self, prf):
-        rng = random.Random(prf.block_len)
+        rng = random.Random(prf.value)
         for _ in range(25):
             key = rng.randbytes(16)
             msg = rng.randbytes(rng.randrange(0, 64))
@@ -126,7 +127,7 @@ class TestCounterKdf:
         # kdfkit's [L] is the output length in bytes, so it equals KBKDF only
         # with the fixed input built by hand; the standard's bit-length
         # framing gives different bytes at every length.
-        rng = random.Random(0x108 + prf.block_len)
+        rng = random.Random(0x108 + prf.value)
         for out_len in range(1, 97):
             for _ in range(5):
                 key = rng.randbytes(16)
@@ -141,7 +142,7 @@ class TestCounterKdf:
     def test_long_output_matches_installed_kbkdf(self, prf, out_len):
         # Bulk derivation's shape: 32 HMAC or 64 CMAC blocks, and one
         # byte either side.
-        rng = random.Random(out_len + prf.block_len)
+        rng = random.Random(out_len + prf.value)
         key = rng.randbytes(16)
         msg = rng.randbytes(32)
         fixed = counter_fixed(msg, out_len)
@@ -183,6 +184,23 @@ class TestCounterKdf:
             assert calls["sha256"] == 2 * n_blocks + (key_len > 64)
         assert calls["schedule"][0] is not calls["schedule"][1]
 
+    @pytest.mark.parametrize("out_len", [1, 16, 17, 48, 1024])
+    def test_one_cmac_per_block(self, monkeypatch, out_len):
+        # What perfbench's CMAC_KDF pins rely on: the counter loop calls the
+        # cmac bound on its module at call time, once per 16-byte block, with
+        # the caller's key bytes.
+        keys = []
+        real_cmac = cmac_mod.cmac
+
+        def counting_cmac(key, msg):
+            keys.append(key)
+            return real_cmac(key, msg)
+
+        monkeypatch.setattr(cmac_mod, "cmac", counting_cmac)
+        assert len(counter_kdf(PrfChoice.CMAC_AES128, KEY, b"ctx", out_len)) == out_len
+        assert len(keys) == -(-out_len // 16)
+        assert all(key == KEY for key in keys)
+
     def test_hmac_accepts_any_key_length(self):
         assert len(counter_kdf(PrfChoice.HMAC_SHA256, b"", b"m", 10)) == 10
         assert len(counter_kdf(PrfChoice.HMAC_SHA256, bytes(100), b"m", 10)) == 10
@@ -204,6 +222,17 @@ class TestCounterKdf:
     def test_float_length_rejected(self, prf, out_len):
         with pytest.raises(ValueError, match="not an int"):
             counter_kdf(prf, KEY, b"", out_len)
+
+    @pytest.mark.parametrize("prf", list(PrfChoice))
+    @pytest.mark.parametrize("out_len", ["16", None])
+    def test_non_number_length_rejected(self, prf, out_len):
+        with pytest.raises(ValueError, match="not an int"):
+            counter_kdf(prf, KEY, b"", out_len)
+
+    @pytest.mark.parametrize("prf", ["hmac", None, PrfChoice.HMAC_SHA256.value])
+    def test_unknown_prf_rejected(self, prf):
+        with pytest.raises(ValueError, match="unknown PRF"):
+            counter_kdf(prf, KEY, b"", 16)
 
 
 class TestKmacKdf:

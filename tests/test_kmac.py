@@ -69,9 +69,36 @@ class TestEncodings:
             left_encode(-1)
 
     @pytest.mark.parametrize("encode", [left_encode, right_encode])
+    @pytest.mark.parametrize("x", [-1, 2**2040])
+    def test_encode_out_of_range(self, encode, x):
+        with pytest.raises(ValueError, match="out of encodable range"):
+            encode(x)
+
+    @pytest.mark.parametrize("encode", [left_encode, right_encode])
     def test_encode_rejects_a_float(self, encode):
         with pytest.raises(ValueError, match="not an int"):
             encode(8.0)
+
+    @pytest.mark.parametrize("encode", [left_encode, right_encode])
+    def test_encode_rejects_a_str(self, encode):
+        with pytest.raises(ValueError, match="not an int"):
+            encode("8")
+
+    @pytest.mark.parametrize("left", [True, False])
+    @pytest.mark.parametrize("x", [0, 255, 256, 65535, 65536, 2**2040 - 1])
+    def test_encode_matches_the_definition(self, left, x):
+        # SP 800-185 section 2.3.1: n is the least positive integer with
+        # 2^(8n) > x, x_1..x_n are x's base-256 digits, most significant
+        # first, and the encoding is enc8(n) || x_1 || ... || x_n, or
+        # x_1 || ... || x_n || enc8(n) for right_encode.
+        n = 1
+        while 2 ** (8 * n) <= x:
+            n += 1
+        digits = [x // 2 ** (8 * (n - i)) % 256 for i in range(1, n + 1)]
+        if left:
+            assert left_encode(x) == bytes([n] + digits)
+        else:
+            assert right_encode(x) == bytes(digits + [n])
 
 
 class TestCshake:
@@ -98,6 +125,12 @@ class TestCshake:
     def test_rejects_partial_bytes(self):
         with pytest.raises(ValueError):
             cshake(b"", 255, b"", b"", 168)
+
+    @pytest.mark.parametrize("n, s", [(b"", b""), (b"N", b"S")])
+    @pytest.mark.parametrize("bits", [256.0, "256"])
+    def test_non_int_length_is_a_value_error(self, n, s, bits):
+        with pytest.raises(ValueError, match="not an int"):
+            cshake(b"m", bits, n, s, 168)
 
     def test_zero_rate_is_a_value_error(self):
         # With N non-empty, bytepad(..., 0) runs before the sponge's rate check.

@@ -129,8 +129,9 @@ def kmac_cases(seeded):
     """The windows cycled against each other, then the explicit cases."""
     # OpenSSL refuses KMAC keys shorter than 4 bytes. 131 and 163 B make
     # bytepad(encode_string(key)) fill one block exactly at rate 136 and 168.
-    windows = (near(8, 131, 136, 163, 168), near(0, 136, 168),
-               [*range(1, 9), *near(136, 168)], near(0, 20))
+    # At 32 B, left_encode(8 * len(key)) and right_encode(L) grow to 2 bytes.
+    windows = (near(8, 32, 131, 136, 163, 168), near(0, 136, 168),
+               [*range(1, 9), *near(32, 136, 168)], near(0, 20))
     for i in range(max(map(len, windows))):
         key_len, msg_len, out_len, custom_len = (w[i % len(w)] for w in windows)
         yield (seeded("key", key_len), seeded("msg", msg_len), out_len,
